@@ -1,5 +1,6 @@
 // Ablation for the paper's §3 remark: erasure-coded dispersal RBC (AVID
-// style) versus the plain tribe-assisted RBC the paper chooses.
+// style) versus the tribe-assisted RBC the paper chooses, as consensus runs
+// it (VertexDisseminator, the vertex RBC merged with the block's).
 //
 // Measures, for one dissemination of the paper's 3 MB proposal at n = 50:
 //  - total bytes on the wire (the erasure code's worst-case win),
@@ -10,8 +11,8 @@
 #include <memory>
 
 #include "bench/bench_util.h"
+#include "consensus/dissemination.h"
 #include "rbc/avid_rbc.h"
-#include "rbc/two_round_rbc.h"
 #include "sim/network.h"
 
 using namespace clandag;
@@ -64,39 +65,62 @@ RunResult RunAvid(uint32_t n, const Bytes& value) {
   return out;
 }
 
+// The tribe-assisted RBC consensus runs: sender 0 proposes one vertex whose
+// block carries `value`. A node has delivered once its instance completed
+// and, if it is a clan member, it holds the block.
 RunResult RunTribe(uint32_t n, uint32_t clan_size, const Bytes& value) {
   Scheduler scheduler;
   SimNetwork network(scheduler, LatencyMatrix::GcpGeoDistributed(n), NetworkConfig{125e6, 64});
   Keychain keychain(1, n);
-  RbcConfig config;
+  const ClanTopology topology = ClanTopology::SingleClanSpread(n, clan_size);
+  DisseminationConfig config;
   config.num_nodes = n;
   config.num_faults = (n - 1) / 3;
-  for (NodeId i = 0; i < clan_size; ++i) {
-    config.clan.push_back(i);
-  }
   uint32_t delivered = 0;
   TimeMicros last_delivery = 0;
+  std::vector<bool> completed(n, false);
+  std::vector<bool> has_block(n, false);
+  auto note_progress = [&](NodeId id) {
+    if (completed[id] && (has_block[id] || !topology.ReceivesBlocksOf(0, id))) {
+      ++delivered;
+      last_delivery = scheduler.Now();
+    }
+  };
   std::vector<std::unique_ptr<SimRuntime>> runtimes;
-  std::vector<std::unique_ptr<TwoRoundRbc>> engines;
+  std::vector<std::unique_ptr<VertexDisseminator>> dissems;
   struct Adapter : MessageHandler {
-    TwoRoundRbc* engine = nullptr;
+    VertexDisseminator* dissem = nullptr;
     void OnMessage(NodeId from, MsgType type, const Bytes& payload) override {
-      engine->HandleMessage(from, type, payload);
+      dissem->HandleMessage(from, type, payload);
     }
   };
   std::vector<Adapter> adapters(n);
   for (NodeId id = 0; id < n; ++id) {
     runtimes.push_back(std::make_unique<SimRuntime>(network, id));
-    engines.push_back(std::make_unique<TwoRoundRbc>(
-        *runtimes[id], keychain, config,
-        [&](NodeId, Round, const Digest&, const Bytes*) {
-          ++delivered;
-          last_delivery = scheduler.Now();
-        }));
-    adapters[id].engine = engines[id].get();
+    DisseminationCallbacks callbacks;
+    callbacks.on_vertex_val = [](const Vertex&) {};
+    callbacks.on_vertex_complete = [&, id](const Vertex&, const Digest&) {
+      completed[id] = true;
+      note_progress(id);
+    };
+    callbacks.on_block = [&, id](const BlockInfo&) {
+      has_block[id] = true;
+      note_progress(id);
+    };
+    dissems.push_back(std::make_unique<VertexDisseminator>(*runtimes[id], keychain, topology,
+                                                           config, std::move(callbacks)));
+    adapters[id].dissem = dissems[id].get();
     network.RegisterHandler(id, &adapters[id]);
   }
-  engines[0]->Broadcast(1, Bytes(value));
+  BlockInfo block;
+  block.proposer = 0;
+  block.round = 1;
+  block.payload = value;
+  Vertex vertex;
+  vertex.source = 0;
+  vertex.round = 1;
+  vertex.block_digest = block.ComputeDigest();
+  dissems[0]->Propose(vertex, block);
   scheduler.RunUntilIdle(500'000'000);
   RunResult out;
   out.complete_ms = delivered == n ? ToMillis(last_delivery) : -1;

@@ -3,7 +3,7 @@
 #include <algorithm>
 
 #include "common/check.h"
-#include "stats/clan_sizing.h"
+#include "common/quorum.h"
 
 namespace clandag {
 
@@ -130,8 +130,7 @@ bool ClanTopology::ProposesBlocks(NodeId proposer) const {
 }
 
 uint32_t ClanTopology::ClanQuorumFor(NodeId proposer) const {
-  const std::vector<NodeId>& clan = BlockRecipients(proposer);
-  return static_cast<uint32_t>(MaxClanFaults(static_cast<int64_t>(clan.size()))) + 1;
+  return ClanQuorum(static_cast<int64_t>(BlockRecipients(proposer).size()));
 }
 
 std::string ClanTopology::Describe() const {

@@ -12,6 +12,11 @@ namespace clandag {
 
 namespace {
 
+// Missing vertex bodies and blocks are requested from this many holders at
+// once, and from the next holders in turn if nothing arrives in time.
+constexpr uint32_t kPullFanout = 2;
+constexpr TimeMicros kPullRetry = Millis(250);
+
 // Reusable scratch for the signed-message preimage of echo votes; one is
 // built per echo sent/verified, so a fresh heap buffer each time would show
 // up on the allocator profile. thread_local: verification may run on a
@@ -507,14 +512,14 @@ void VertexDisseminator::StartVertexPull(NodeId source, Round round) {
   req.source = source;
   req.round = round;
   auto req_bytes = EncodeToShared([&](Writer& w) { req.EncodeTo(w); });
-  for (uint32_t i = 0; i < config_.pull_fanout; ++i) {
+  for (uint32_t i = 0; i < kPullFanout; ++i) {
     NodeId target = holders[(inst.pull_rr + i) % holders.size()];
     if (target != runtime_.id()) {
       runtime_.Send(target, kConsVertexPullReq, req_bytes, req_bytes->size());
     }
   }
-  inst.pull_rr += config_.pull_fanout;
-  runtime_.Schedule(config_.pull_retry, [this, source, round] { StartVertexPull(source, round); });
+  inst.pull_rr += kPullFanout;
+  runtime_.Schedule(kPullRetry, [this, source, round] { StartVertexPull(source, round); });
 }
 
 void VertexDisseminator::StartBlockPull(NodeId source, Round round) {
@@ -539,14 +544,14 @@ void VertexDisseminator::StartBlockPull(NodeId source, Round round) {
   req.source = source;
   req.round = round;
   auto req_bytes = EncodeToShared([&](Writer& w) { req.EncodeTo(w); });
-  for (uint32_t i = 0; i < config_.pull_fanout; ++i) {
+  for (uint32_t i = 0; i < kPullFanout; ++i) {
     NodeId target = holders[(inst.pull_rr + i) % holders.size()];
     if (target != runtime_.id()) {
       runtime_.Send(target, kConsBlockPullReq, req_bytes, req_bytes->size());
     }
   }
-  inst.pull_rr += config_.pull_fanout;
-  runtime_.Schedule(config_.pull_retry, [this, source, round] {
+  inst.pull_rr += kPullFanout;
+  runtime_.Schedule(kPullRetry, [this, source, round] {
     Instance& retry_inst = GetInstance(source, round);
     if (retry_inst.pulling_block && !(retry_inst.block.has_value() && retry_inst.block_verified)) {
       StartBlockPull(source, round);

@@ -87,11 +87,6 @@ AvidRbc::Instance& AvidRbc::GetInstance(NodeId sender, Round round) {
   return instances_[{sender, round}];
 }
 
-bool AvidRbc::HasDelivered(NodeId sender, Round round) const {
-  auto it = instances_.find({sender, round});
-  return it != instances_.end() && it->second.delivered;
-}
-
 void AvidRbc::Broadcast(Round round, const Bytes& value) {
   const double t0 = NowMicros();
   std::vector<RsShare> shares = codec_.Encode(value);

@@ -56,8 +56,6 @@ class AvidRbc {
   void Broadcast(Round round, const Bytes& value);
   bool HandleMessage(NodeId from, MsgType type, const Bytes& payload);
 
-  bool HasDelivered(NodeId sender, Round round) const;
-
   // Encode/decode CPU spent by this node (host wall time, for the ablation).
   double CodingMicros() const { return coding_micros_; }
 

@@ -62,8 +62,8 @@ pool-capacity-contract
     memory on the hot path.
 
 hot-path-annotation
-    On the hot-path surface (src/net/tcp_transport.*, src/rbc/,
-    src/consensus/sailfish.*), every function declaration that acquires the
+    On the hot-path surface (src/net/tcp_transport.*,
+    src/consensus/dissemination.*, src/consensus/sailfish.*), every function declaration that acquires the
     loop ThreadRole — CLANDAG_REQUIRES on a *role* capability — must state
     its temperature: CLANDAG_HOT / CLANDAG_COLD on the declaration, or a
     `// cold:` justification comment within the three lines above. The
@@ -279,7 +279,7 @@ class Linter:
     # A declaration "acquires" the loop role when CLANDAG_REQUIRES names a
     # *role* capability (loop_role_, verify_role_, ...); Mutex-typed REQUIRES
     # are lock discipline, not thread pinning, and stay out of scope.
-    HOT_PATH_PREFIXES = ("src/net/tcp_transport.", "src/rbc/",
+    HOT_PATH_PREFIXES = ("src/net/tcp_transport.", "src/consensus/dissemination.",
                          "src/consensus/sailfish.")
     ROLE_REQUIRES_RE = re.compile(r"CLANDAG_REQUIRES\(\s*\w*role\w*\s*\)")
     TEMPERATURE_RE = re.compile(r"CLANDAG_HOT\b|CLANDAG_COLD\b")
