@@ -4,18 +4,18 @@
 // only its own application's transactions and answers that application's
 // clients, who accept once f_c+1 identical receipts arrive.
 //
-// Runs live on the in-process threaded transport (real time, real threads).
+// Runs on the deterministic simulator, so every run prints the same output.
+// Exits 1 if an application's client sees no confirmed block within the
+// simulated-time bound, or if replicas within a clan diverge.
 //
 //   ./build/examples/shared_sequencer
 
-#include <chrono>
 #include <cstdio>
-#include <map>
-#include <mutex>
-#include <thread>
+#include <memory>
+#include <vector>
 
 #include "core/app_node.h"
-#include "net/inproc_transport.h"
+#include "sim/network.h"
 #include "smr/client.h"
 
 using namespace clandag;
@@ -24,21 +24,28 @@ int main() {
   constexpr uint32_t kNodes = 12;
   constexpr uint32_t kClans = 3;  // Three independent applications.
   constexpr uint64_t kTxsPerApp = 30;
+  // Simulated time each application has to see its first confirmed block.
+  constexpr TimeMicros kConfirmBound = Seconds(20);
+  // Simulated time run past the last confirmation, so every clan replica
+  // (not just the f_c+1 that confirmed) executes the same blocks.
+  constexpr TimeMicros kSettle = Seconds(1);
 
   Keychain keychain(2024, kNodes);
   ClanTopology topology = ClanTopology::MultiClan(kNodes, kClans);
   std::printf("topology: %s\n", topology.Describe().c_str());
 
-  InProcCluster cluster(kNodes);
+  Scheduler scheduler;
+  SimNetwork network(scheduler, LatencyMatrix::Uniform(kNodes, Millis(10)),
+                     NetworkConfig{1e9, 0});
 
   // One client per application, matching receipts f_c+1 ways.
-  std::mutex client_mu;
   std::vector<ClientReplyCollector> clients;
   for (uint32_t c = 0; c < kClans; ++c) {
     clients.emplace_back(topology.ClanQuorumFor(topology.Clan(c)[0]));
   }
 
-  std::vector<std::unique_ptr<AppNode>> apps(kNodes);
+  std::vector<std::unique_ptr<SimRuntime>> runtimes;
+  std::vector<std::unique_ptr<AppNode>> apps;
   for (NodeId id = 0; id < kNodes; ++id) {
     AppNodeOptions options;
     options.consensus.num_nodes = kNodes;
@@ -46,8 +53,7 @@ int main() {
     options.consensus.round_timeout = Seconds(5);
     AppNodeCallbacks callbacks;
     const int clan = topology.ClanIndexOf(id);
-    callbacks.on_receipt = [&clients, &client_mu, clan, id](const ExecutionReceipt& receipt) {
-      std::lock_guard<std::mutex> lock(client_mu);
+    callbacks.on_receipt = [&clients, clan, id](const ExecutionReceipt& receipt) {
       auto confirmed = clients[clan].AddReply(id, receipt);
       if (confirmed.has_value() && confirmed->txs_executed > 0) {
         std::printf("app %d: block (round %llu, proposer %u) confirmed with %u txs\n", clan,
@@ -55,46 +61,37 @@ int main() {
                     confirmed->txs_executed);
       }
     };
-    apps[id] = std::make_unique<AppNode>(cluster.RuntimeOf(id), keychain, topology, options,
-                                         std::move(callbacks));
-    cluster.RegisterHandler(id, apps[id].get());
+    runtimes.push_back(std::make_unique<SimRuntime>(network, id));
+    apps.push_back(std::make_unique<AppNode>(*runtimes[id], keychain, topology, options,
+                                             std::move(callbacks)));
+    network.RegisterHandler(id, apps[id].get());
   }
-
-  cluster.Start();
 
   // Each application submits transfers to one of its clan's nodes.
   for (uint32_t c = 0; c < kClans; ++c) {
     const NodeId entry = topology.Clan(c)[0];
-    cluster.Post(entry, [&apps, entry, c] {
-      for (uint64_t t = 0; t < kTxsPerApp; ++t) {
-        apps[entry]->SubmitTransaction(c * 10'000 + t,
-                                       EncodeTransfer(static_cast<uint32_t>(t % 5),
-                                                      static_cast<uint32_t>(5 + t % 5), 1));
-      }
-    });
+    for (uint64_t t = 0; t < kTxsPerApp; ++t) {
+      apps[entry]->SubmitTransaction(c * 10'000 + t,
+                                     EncodeTransfer(static_cast<uint32_t>(t % 5),
+                                                    static_cast<uint32_t>(5 + t % 5), 1));
+    }
   }
-  for (NodeId id = 0; id < kNodes; ++id) {
-    cluster.Post(id, [&apps, id] { apps[id]->Start(); });
+  for (auto& app : apps) {
+    app->Start();
   }
 
-  // Wait until every application's client confirmed its transactions.
-  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(20);
-  while (std::chrono::steady_clock::now() < deadline) {
-    {
-      std::lock_guard<std::mutex> lock(client_mu);
-      uint32_t confirmed_apps = 0;
-      for (auto& client : clients) {
-        if (client.ConfirmedCount() > 0) {
-          ++confirmed_apps;
-        }
-      }
-      if (confirmed_apps == kClans) {
-        break;
-      }
+  // Run until every application's client confirmed a block.
+  auto confirmed_apps = [&clients] {
+    uint32_t confirmed = 0;
+    for (const auto& client : clients) {
+      confirmed += client.ConfirmedCount() > 0 ? 1 : 0;
     }
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    return confirmed;
+  };
+  while (confirmed_apps() < kClans && scheduler.Now() < kConfirmBound && scheduler.Step()) {
   }
-  cluster.Stop();
+  const bool all_confirmed = confirmed_apps() == kClans;
+  scheduler.RunFor(kSettle);
 
   std::printf("\nper-node summary:\n");
   for (NodeId id = 0; id < kNodes; ++id) {
@@ -104,6 +101,7 @@ int main() {
                 static_cast<unsigned long long>(apps[id]->ExecutedBlocks()),
                 apps[id]->execution().StateDigest().Brief().c_str());
   }
+  std::printf("\napplications confirmed: %u/%u\n", confirmed_apps(), kClans);
   // Replicas within a clan must agree on their application state.
   bool consistent = true;
   for (uint32_t c = 0; c < kClans; ++c) {
@@ -115,6 +113,6 @@ int main() {
       }
     }
   }
-  std::printf("\nintra-clan state consistency: %s\n", consistent ? "OK" : "VIOLATED");
-  return consistent ? 0 : 1;
+  std::printf("intra-clan state consistency: %s\n", consistent ? "OK" : "VIOLATED");
+  return all_confirmed && consistent ? 0 : 1;
 }

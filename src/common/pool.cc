@@ -4,25 +4,25 @@
 
 namespace clandag {
 
-// --- ControlBlockArena ------------------------------------------------------
+// --- SlabArena --------------------------------------------------------------
 
-void* ControlBlockArena::Allocate(size_t bytes) {
+void* SlabArena::Allocate(size_t bytes) {
   {
     MutexLock lock(mu_);
-    if (bytes <= kSlotBytes) {
+    if (bytes <= slot_bytes_) {
       if (!free_slots_.empty()) {
         void* slot = free_slots_.back();
         free_slots_.pop_back();
         return slot;
       }
-      if (slots_carved_ + kSlotsPerSlab <= kMaxControlSlots) {
-        auto slab = std::make_unique<unsigned char[]>(kSlotBytes * kSlotsPerSlab);
+      if (slots_carved_ + kSlotsPerSlab <= max_slots_) {
+        auto slab = std::make_unique<unsigned char[]>(slot_bytes_ * kSlotsPerSlab);
         unsigned char* base = slab.get();
         slabs_.push_back(std::move(slab));
         slots_carved_ += kSlotsPerSlab;
         // Keep slot 0 for the caller, free-list the rest.
         for (size_t i = 1; i < kSlotsPerSlab; ++i) {
-          free_slots_.push_back(base + i * kSlotBytes);
+          free_slots_.push_back(base + i * slot_bytes_);
         }
         return base;
       }
@@ -32,15 +32,16 @@ void* ControlBlockArena::Allocate(size_t bytes) {
   return ::operator new(bytes);
 }
 
-void ControlBlockArena::Free(void* p, size_t bytes) {
-  if (bytes > kSlotBytes) {
+void SlabArena::Free(void* p, size_t bytes) {
+  if (bytes > slot_bytes_) {
     ::operator delete(p);
     return;
   }
   {
     MutexLock lock(mu_);
     if (Owns(p)) {
-      // bounded: the free list only ever holds slots carved under kMaxControlSlots.
+      // bounded: the free list only ever holds slots carved under max_slots_
+      // (kMaxControlSlots / kMaxNodeSlots).
       free_slots_.push_back(p);
       return;
     }
@@ -49,11 +50,11 @@ void ControlBlockArena::Free(void* p, size_t bytes) {
   ::operator delete(p);
 }
 
-bool ControlBlockArena::Owns(const void* p) const {
+bool SlabArena::Owns(const void* p) const {
   const auto* b = static_cast<const unsigned char*>(p);
   for (const auto& slab : slabs_) {
     const unsigned char* base = slab.get();
-    if (b >= base && b < base + kSlotBytes * kSlotsPerSlab) {
+    if (b >= base && b < base + slot_bytes_ * kSlotsPerSlab) {
       return true;
     }
   }
@@ -63,62 +64,6 @@ bool ControlBlockArena::Owns(const void* p) const {
 ControlBlockArena& ControlBlockArena::Global() {
   static ControlBlockArena* arena = new ControlBlockArena();
   return *arena;
-}
-
-// --- NodeArena --------------------------------------------------------------
-
-void* NodeArena::Allocate(size_t bytes) {
-  {
-    MutexLock lock(mu_);
-    if (bytes <= kSlotBytes) {
-      if (!free_slots_.empty()) {
-        void* slot = free_slots_.back();
-        free_slots_.pop_back();
-        return slot;
-      }
-      if (slots_carved_ + kSlotsPerSlab <= kMaxNodeSlots) {
-        auto slab = std::make_unique<unsigned char[]>(kSlotBytes * kSlotsPerSlab);
-        unsigned char* base = slab.get();
-        slabs_.push_back(std::move(slab));
-        slots_carved_ += kSlotsPerSlab;
-        // Keep slot 0 for the caller, free-list the rest.
-        for (size_t i = 1; i < kSlotsPerSlab; ++i) {
-          free_slots_.push_back(base + i * kSlotBytes);
-        }
-        return base;
-      }
-    }
-    ++heap_fallbacks_;
-  }
-  return ::operator new(bytes);
-}
-
-void NodeArena::Free(void* p, size_t bytes) {
-  if (bytes > kSlotBytes) {
-    ::operator delete(p);
-    return;
-  }
-  {
-    MutexLock lock(mu_);
-    if (Owns(p)) {
-      // bounded: the free list only ever holds slots carved under kMaxNodeSlots.
-      free_slots_.push_back(p);
-      return;
-    }
-  }
-  // Allocated past the arena cap: plain heap block.
-  ::operator delete(p);
-}
-
-bool NodeArena::Owns(const void* p) const {
-  const auto* b = static_cast<const unsigned char*>(p);
-  for (const auto& slab : slabs_) {
-    const unsigned char* base = slab.get();
-    if (b >= base && b < base + kSlotBytes * kSlotsPerSlab) {
-      return true;
-    }
-  }
-  return false;
 }
 
 NodeArena& NodeArena::Global() {

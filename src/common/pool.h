@@ -29,7 +29,7 @@
 // block arena retains at most kMaxControlSlots slots. Beyond any cap the
 // pool degrades to plain heap allocation — it never blocks and never fails.
 //
-// Threading: all BufferPool and control-arena methods are thread-safe
+// Threading: all BufferPool and slab-arena methods are thread-safe
 // (guarded by an annotated Mutex); PooledBytes handles and the shared
 // buffers they produce may be released from any thread. A PooledBytes
 // handle itself is not thread-safe and must not be used concurrently.
@@ -51,16 +51,61 @@
 
 namespace clandag {
 
-// Fixed-size slot arena for shared_ptr control blocks. Slots are carved from
-// slab allocations (kSlotsPerSlab at a time) and recycled through a free
-// list; slabs themselves are never returned (bounded by peak concurrency).
-class ControlBlockArena {
+// Fixed-size slot arena. Slots are carved from slab allocations
+// (kSlotsPerSlab at a time) and recycled through a free list; slabs
+// themselves are never returned (bounded by peak concurrency). At most
+// `max_slots` slots are ever carved; past that cap, and for requests wider
+// than a slot, allocation falls back to operator new — the arena never
+// blocks and never fails. Two instances exist, ControlBlockArena and
+// NodeArena below, differing only in slot size, cap and lock name.
+class SlabArena {
+ public:
+  static constexpr size_t kSlotsPerSlab = 64;
+
+  SlabArena(const SlabArena&) = delete;
+  SlabArena& operator=(const SlabArena&) = delete;
+
+  void* Allocate(size_t bytes);
+  void Free(void* p, size_t bytes);
+
+  size_t slots_carved() const {
+    MutexLock lock(mu_);
+    return slots_carved_;
+  }
+  // Allocations served by operator new because the carve cap was reached or
+  // the request outgrew the slot. Nonzero means the working set exceeded the
+  // cap (or a caller allocates something wider than the arena was sized for).
+  size_t heap_fallbacks() const {
+    MutexLock lock(mu_);
+    return heap_fallbacks_;
+  }
+
+ protected:
+  SlabArena(const char* lock_name, size_t slot_bytes, size_t max_slots)
+      : slot_bytes_(slot_bytes),
+        max_slots_(max_slots),
+        mu_(lock_name, lock_rank::kControlArena) {}
+
+ private:
+  bool Owns(const void* p) const CLANDAG_REQUIRES(mu_);
+
+  const size_t slot_bytes_;
+  const size_t max_slots_;
+  mutable Mutex mu_;
+  // Slabs are never returned; both vectors are bounded by max_slots_.
+  std::vector<std::unique_ptr<unsigned char[]>> slabs_ CLANDAG_GUARDED_BY(mu_);
+  std::vector<void*> free_slots_ CLANDAG_GUARDED_BY(mu_);
+  size_t slots_carved_ CLANDAG_GUARDED_BY(mu_) = 0;
+  size_t heap_fallbacks_ CLANDAG_GUARDED_BY(mu_) = 0;
+};
+
+// Slot arena for shared_ptr control blocks.
+class ControlBlockArena final : public SlabArena {
  public:
   // One slot comfortably fits libstdc++'s _Sp_counted_deleter for a
   // pointer + small deleter + allocator; larger requests fall back to the
   // global heap.
   static constexpr size_t kSlotBytes = 128;
-  static constexpr size_t kSlotsPerSlab = 64;
   // At most this many slots are ever carved; beyond it allocation falls
   // back to operator new. Sized for the simulator's live-buffer peak: every
   // undelivered message payload plus every instance-lifetime pin (stored
@@ -69,37 +114,11 @@ class ControlBlockArena {
   // 48 MiB — carved on demand, never preallocated.
   static constexpr size_t kMaxControlSlots = 393216;
 
-  ControlBlockArena() = default;
-  ControlBlockArena(const ControlBlockArena&) = delete;
-  ControlBlockArena& operator=(const ControlBlockArena&) = delete;
-
-  void* Allocate(size_t bytes);
-  void Free(void* p, size_t bytes);
+  ControlBlockArena() : SlabArena("pool.arena", kSlotBytes, kMaxControlSlots) {}
 
   // Leaked singleton: outlives every shared buffer, including ones released
   // from detached transport threads during process teardown.
   static ControlBlockArena& Global();
-
-  size_t slots_carved() const {
-    MutexLock lock(mu_);
-    return slots_carved_;
-  }
-  // Allocations served by operator new because the carve cap was reached
-  // (or the request outgrew kSlotBytes). Nonzero means the working set
-  // exceeded kMaxControlSlots.
-  size_t heap_fallbacks() const {
-    MutexLock lock(mu_);
-    return heap_fallbacks_;
-  }
-
- private:
-  bool Owns(const void* p) const CLANDAG_REQUIRES(mu_);
-
-  mutable Mutex mu_{"pool.arena", lock_rank::kControlArena};
-  std::vector<std::unique_ptr<unsigned char[]>> slabs_ CLANDAG_GUARDED_BY(mu_);
-  std::vector<void*> free_slots_ CLANDAG_GUARDED_BY(mu_);
-  size_t slots_carved_ CLANDAG_GUARDED_BY(mu_) = 0;
-  size_t heap_fallbacks_ CLANDAG_GUARDED_BY(mu_) = 0;
 };
 
 // std::allocator-compatible adaptor over ControlBlockArena, used as the
@@ -125,59 +144,27 @@ class ArenaAllocator {
   }
 };
 
-// Fixed-size slot arena for the node-based protocol containers (the
-// per-round vote-tracker maps, the DAG round index, the weak-edge frontier
-// set). Same recycling design as ControlBlockArena, but with slots wide
-// enough for a red-black-tree node carrying a Digest key plus a VoteTracker
-// — the widest node on the consensus hot path. Nodes freed by post-commit
-// pruning are recycled for the next round's inserts, so the steady state
-// allocates nothing: the working set is one window of rounds wide and the
-// free list absorbs it. Oversized or past-cap requests fall back to the
-// global heap; the arena never blocks and never fails.
-//
-// Threading: all methods are thread-safe (annotated Mutex), matching
-// ControlBlockArena — node containers live on single consensus threads
-// today, but buffers sharing this rank must stay safe to release anywhere.
-class NodeArena {
+// Slot arena for the node-based protocol containers (the per-round
+// vote-tracker maps, the DAG round index, the weak-edge frontier set). Slots
+// are wide enough for a red-black-tree node carrying a Digest key plus a
+// VoteTracker — the widest node on the consensus hot path. Nodes freed by
+// post-commit pruning are recycled for the next round's inserts, so the
+// steady state allocates nothing: the working set is one window of rounds
+// wide and the free list absorbs it. Node containers live on single
+// consensus threads today, but the arena stays safe to release anywhere.
+class NodeArena final : public SlabArena {
  public:
   static constexpr size_t kSlotBytes = 192;
-  static constexpr size_t kSlotsPerSlab = 64;
   // Carve cap: bounds arena memory at 48 MiB. Sized like kMaxControlSlots —
   // a saturated n = 150 run keeps one GC window of per-round map/set nodes
   // live per node object, far below this; beyond it allocation degrades to
   // operator new.
   static constexpr size_t kMaxNodeSlots = 262144;
 
-  NodeArena() = default;
-  NodeArena(const NodeArena&) = delete;
-  NodeArena& operator=(const NodeArena&) = delete;
-
-  void* Allocate(size_t bytes);
-  void Free(void* p, size_t bytes);
+  NodeArena() : SlabArena("pool.nodes", kSlotBytes, kMaxNodeSlots) {}
 
   // Leaked singleton (see ControlBlockArena::Global).
   static NodeArena& Global();
-
-  size_t slots_carved() const {
-    MutexLock lock(mu_);
-    return slots_carved_;
-  }
-  // Allocations served by operator new because the carve cap was reached or
-  // the request outgrew kSlotBytes (a container node wider than a slot).
-  size_t heap_fallbacks() const {
-    MutexLock lock(mu_);
-    return heap_fallbacks_;
-  }
-
- private:
-  bool Owns(const void* p) const CLANDAG_REQUIRES(mu_);
-
-  mutable Mutex mu_{"pool.nodes", lock_rank::kControlArena};
-  // Slabs are never returned; both vectors are bounded by kMaxNodeSlots.
-  std::vector<std::unique_ptr<unsigned char[]>> slabs_ CLANDAG_GUARDED_BY(mu_);
-  std::vector<void*> free_slots_ CLANDAG_GUARDED_BY(mu_);
-  size_t slots_carved_ CLANDAG_GUARDED_BY(mu_) = 0;
-  size_t heap_fallbacks_ CLANDAG_GUARDED_BY(mu_) = 0;
 };
 
 // std::allocator-compatible adaptor over NodeArena for node-based

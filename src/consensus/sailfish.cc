@@ -7,6 +7,14 @@
 
 namespace clandag {
 
+namespace {
+
+// How many times the round timer re-arms while the node is stuck in one
+// round; each repeat fire is an anti-entropy beat (see OnTimeout).
+constexpr uint32_t kMaxTimeoutRebroadcasts = 64;
+
+}  // namespace
+
 SailfishNode::SailfishNode(Runtime& runtime, const Keychain& keychain,
                            const ClanTopology& topology, SailfishConfig config,
                            BlockSource* block_source, SailfishCallbacks callbacks)
@@ -541,7 +549,7 @@ void SailfishNode::OnTimeout(Round round) {
     timeout_round_ = round;
     timeout_repeats_ = 0;
   }
-  if (++timeout_repeats_ <= config_.max_timeout_rebroadcasts) {
+  if (++timeout_repeats_ <= kMaxTimeoutRebroadcasts) {
     ScheduleTimeout(round);
   }
   if (!dag_.Has(round, LeaderOf(round)) && timeout_fired_.insert(round).second) {

@@ -68,9 +68,8 @@ struct ScenarioOptions {
   // Fault injection: nodes crashed from the start (fail-stop).
   std::vector<NodeId> crashed;
 
-  // Safety valves.
+  // Safety valve.
   TimeMicros max_sim_time = Seconds(3600);
-  uint64_t max_events = 0;  // 0 = unlimited.
 };
 
 struct ScenarioResult {

@@ -19,6 +19,13 @@
 namespace clandag {
 namespace {
 
+// Transactions preloaded into each node's mempool (non-ingress runs).
+constexpr uint32_t kTxsPerNode = 100;
+// Rounds the honest commit frontier must advance after the plan heals.
+constexpr Round kMinPostHealProgress = 3;
+// Load-generator pump interval (ingress runs).
+constexpr TimeMicros kIngressPoll = Millis(10);
+
 // A simulated AppNode cluster driven by one FaultPlan. Follows the zombie
 // pattern from the sync tests: a crashed node's objects stay alive (its
 // scheduled callbacks remain valid) but its oracle taps are deactivated and
@@ -129,7 +136,7 @@ class ChaosCluster {
       }
     }
     const std::string liveness_err =
-        liveness_.Check(opts_.min_post_heal_progress, required);
+        liveness_.Check(kMinPostHealProgress, required);
     report.liveness_ok = liveness_err.empty();
     report.ok = report.safety_ok && report.liveness_ok;
     if (!report.ok) {
@@ -292,7 +299,7 @@ class ChaosCluster {
     stack.node = std::make_unique<AppNode>(*runtime, keychain_, topology_, options,
                                            std::move(callbacks));
     if (!opts_.use_ingress) {
-      for (uint64_t i = 0; i < opts_.txs_per_node; ++i) {
+      for (uint64_t i = 0; i < kTxsPerNode; ++i) {
         stack.node->SubmitTransaction(static_cast<uint64_t>(id) * 100000 + i,
                                       Bytes(64, 0x5a));
       }
@@ -305,7 +312,7 @@ class ChaosCluster {
   // schedule whether or not the node is up; frames aimed at a crashed node
   // are simply lost in flight.
   void SchedulePump(NodeId id) {
-    scheduler_.ScheduleCallbackAt(scheduler_.Now() + opts_.ingress_poll, [this, id] {
+    scheduler_.ScheduleCallbackAt(scheduler_.Now() + kIngressPoll, [this, id] {
       std::vector<Bytes> frames = loadgens_[id]->Poll(scheduler_.Now());
       if (*stacks_[id].active) {
         for (const Bytes& frame : frames) {

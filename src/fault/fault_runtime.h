@@ -1,10 +1,10 @@
 // FaultInjectingRuntime: a Runtime decorator that subjects a node's outbound
 // traffic to a shared FaultInjector.
 //
-// Stacks under a ByzantineRuntime and over any concrete transport
-// (SimRuntime, InProcCluster runtime, TcpRuntime), so one FaultPlan runs
-// unchanged over the simulator and over real sockets. Self-sends bypass
-// injection: loopback delivery is node-internal, not network traffic.
+// Stacks under a ByzantineRuntime and over either concrete transport
+// (SimRuntime, TcpRuntime), so one FaultPlan runs unchanged over the
+// simulator and over real sockets. Self-sends bypass injection: loopback
+// delivery is node-internal, not network traffic.
 //
 // Delayed deliveries ride the inner runtime's own timer (Schedule + Send),
 // so in the simulator they stay deterministic and on real transports they

@@ -7,6 +7,12 @@
 
 namespace clandag {
 
+namespace {
+
+constexpr uint32_t kBurstSize = 32;  // Frames in one burst arrival.
+
+}  // namespace
+
 OpenLoopLoadGen::OpenLoopLoadGen(LoadGenOptions options, TimeMicros start)
     : options_(options), rng_(options.seed), next_arrival_(start) {
   CLANDAG_CHECK(options_.num_clients > 0);
@@ -33,7 +39,7 @@ void OpenLoopLoadGen::AdvanceArrival() {
   next_arrival_ += std::max<TimeMicros>(1, static_cast<TimeMicros>(gap_sec * 1e6));
 }
 
-void OpenLoopLoadGen::EmitFresh(TimeMicros now, std::vector<Bytes>& out) {
+void OpenLoopLoadGen::EmitFresh(std::vector<Bytes>& out) {
   const uint32_t rank = SampleClientRank();
   ClientRequestMsg request;
   request.client_id = options_.client_id_base + rank;
@@ -47,9 +53,11 @@ void OpenLoopLoadGen::EmitFresh(TimeMicros now, std::vector<Bytes>& out) {
   }
   Bytes frame = request.Encode();
 
-  if (inflight_.size() < options_.max_inflight_tracked) {
+  if (inflight_.size() < kMaxInflightTracked) {
     Inflight inflight;
-    inflight.first_sent = now;
+    // Latency counts from when the open-loop client wanted to send, so time
+    // the request waited for the next poll is part of it.
+    inflight.first_sent = next_arrival_;
     inflight.frame = frame;
     inflight_.emplace(stamp, std::move(inflight));
   }
@@ -69,11 +77,11 @@ std::vector<Bytes> OpenLoopLoadGen::Poll(TimeMicros now) {
   if (options_.offered_load_tps > 0) {
     while (next_arrival_ <= now && out.size() < kMaxFramesPerPoll) {
       if (rng_.NextDouble() < options_.burst_prob) {
-        for (uint32_t i = 0; i < options_.burst_size && out.size() < kMaxFramesPerPoll; ++i) {
-          EmitFresh(now, out);
+        for (uint32_t i = 0; i < kBurstSize && out.size() < kMaxFramesPerPoll; ++i) {
+          EmitFresh(out);
         }
       } else {
-        EmitFresh(now, out);
+        EmitFresh(out);
       }
       AdvanceArrival();
     }
@@ -100,7 +108,7 @@ void OpenLoopLoadGen::ScheduleRetry(uint64_t packed_id, TimeMicros due, TimeMicr
     return;  // Untracked (table was full at first send); nothing to re-send.
   }
   if (it->second.attempts >= options_.max_retries ||
-      retries_.size() >= options_.max_pending_retries) {
+      retries_.size() >= kMaxPendingRetries) {
     ++stats_.gave_up;
     inflight_.erase(it);
     return;
@@ -122,7 +130,7 @@ void OpenLoopLoadGen::OnReply(const ClientReplyMsg& reply, TimeMicros now) {
       ++stats_.committed;
       auto it = inflight_.find(packed_id);
       if (it != inflight_.end()) {
-        if (latencies_.size() < options_.max_latency_samples) {
+        if (latencies_.size() < kMaxLatencySamples) {
           latencies_.push_back(now - it->second.first_sent);
         }
         inflight_.erase(it);

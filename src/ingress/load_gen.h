@@ -42,13 +42,9 @@ struct LoadGenOptions {
   double offered_load_tps = 1000.0;  // Mean arrival rate, frames/sec.
   uint32_t payload_bytes = 256;
   double zipf_skew = 3.0;    // 0 = uniform; larger concentrates on low ranks.
-  double burst_prob = 0.01;  // P(an arrival is a burst of burst_size frames).
-  uint32_t burst_size = 32;
+  double burst_prob = 0.01;  // P(an arrival is a burst of kBurstSize frames).
   double dup_probe_prob = 0.002;  // P(impatient client re-sends last frame).
   uint32_t max_retries = 3;       // Give up on a request after this many.
-  size_t max_pending_retries = kMaxPendingRetries;
-  size_t max_inflight_tracked = kMaxInflightTracked;
-  size_t max_latency_samples = kMaxLatencySamples;
 };
 
 struct LoadGenStats {
@@ -76,8 +72,8 @@ class OpenLoopLoadGen {
   void OnReply(const ClientReplyMsg& reply, TimeMicros now);
 
   const LoadGenStats& stats() const { return stats_; }
-  // First-send-to-commit latencies (includes retry delays), bounded by
-  // max_latency_samples.
+  // Due-time-to-commit latencies (includes poll lateness and retry delays),
+  // bounded by kMaxLatencySamples.
   const std::vector<TimeMicros>& LatencySamples() const { return latencies_; }
   size_t PendingRetries() const { return retries_.size(); }
   size_t InflightTracked() const { return inflight_.size(); }
@@ -91,7 +87,8 @@ class OpenLoopLoadGen {
   };
 
   uint32_t SampleClientRank();
-  void EmitFresh(TimeMicros now, std::vector<Bytes>& out);
+  // Emits one fresh request for the arrival due at next_arrival_.
+  void EmitFresh(std::vector<Bytes>& out);
   void ScheduleRetry(uint64_t packed_id, TimeMicros due, TimeMicros now);
   void AdvanceArrival();
 
@@ -99,15 +96,15 @@ class OpenLoopLoadGen {
   DetRng rng_;
   TimeMicros next_arrival_;
   std::vector<uint32_t> next_seq_;  // Fixed size num_clients (the population, bounded by options).
-  std::deque<Retry> retries_;             // Bounded by max_pending_retries.
+  std::deque<Retry> retries_;             // Bounded by kMaxPendingRetries.
   struct Inflight {
     TimeMicros first_sent = 0;
     Bytes frame;
     uint32_t attempts = 0;
   };
-  std::unordered_map<uint64_t, Inflight> inflight_;  // Bounded by max_inflight_tracked.
+  std::unordered_map<uint64_t, Inflight> inflight_;  // Bounded by kMaxInflightTracked.
   Bytes last_frame_;  // For dup probes.
-  std::vector<TimeMicros> latencies_;  // Bounded by max_latency_samples.
+  std::vector<TimeMicros> latencies_;  // Bounded by kMaxLatencySamples.
   LoadGenStats stats_;
 };
 

@@ -10,6 +10,16 @@
 
 namespace clandag {
 
+namespace {
+
+// How many rounds below a requested vertex the ancestor walk may descend.
+constexpr Round kMaxAncestorDepth = 32;
+// Chunk size for snapshot transfers.
+constexpr uint32_t kSnapshotChunkSize = 64 * 1024;
+static_assert(kSnapshotChunkSize <= kMaxSnapshotChunkBytes);
+
+}  // namespace
+
 FetchResponder::FetchResponder(Runtime& runtime, const DagStore& dag, ResponderConfig config)
     : runtime_(runtime), dag_(dag), config_(config) {}
 
@@ -49,8 +59,7 @@ void FetchResponder::OnRequest(NodeId from, const Bytes& payload) {
     if (from_history) {
       ++stats_.wal_vertices_served;
     }
-    const Round floor =
-        want_round > config_.max_ancestor_depth ? want_round - config_.max_ancestor_depth : 0;
+    const Round floor = want_round > kMaxAncestorDepth ? want_round - kMaxAncestorDepth : 0;
     auto expand = [&](Round round, NodeId source) {
       if (round < msg->low_watermark || round < floor) {
         return;
@@ -96,7 +105,7 @@ void FetchResponder::OfferSnapshot(NodeId to, const SnapshotServeState& snap,
   offer.last_committed = snap.last_committed;
   offer.order_count = snap.order_count;
   offer.total_bytes = snap.bytes.size();
-  offer.chunk_size = std::min(config_.snapshot_chunk_size, kMaxSnapshotChunkBytes);
+  offer.chunk_size = kSnapshotChunkSize;
   offer.total_checksum = snap.checksum;
   ++stats_.snapshot_offers_sent;
   runtime_.Send(to, kSyncSnapshotOffer, offer.Encode());
@@ -117,17 +126,16 @@ void FetchResponder::OnSnapshotChunkRequest(NodeId from, const Bytes& payload) {
     }
     return;
   }
-  const uint32_t chunk_size = std::min(config_.snapshot_chunk_size, kMaxSnapshotChunkBytes);
-  const uint64_t begin = static_cast<uint64_t>(msg->chunk_index) * chunk_size;
+  const uint64_t begin = static_cast<uint64_t>(msg->chunk_index) * kSnapshotChunkSize;
   if (begin >= snap->bytes.size()) {
     return;
   }
-  const uint64_t len = std::min<uint64_t>(chunk_size, snap->bytes.size() - begin);
+  const uint64_t len = std::min<uint64_t>(kSnapshotChunkSize, snap->bytes.size() - begin);
   SnapshotChunkMsg chunk;
   chunk.seq = snap->seq;
   chunk.chunk_index = msg->chunk_index;
   chunk.chunk_count =
-      static_cast<uint32_t>((snap->bytes.size() + chunk_size - 1) / chunk_size);
+      static_cast<uint32_t>((snap->bytes.size() + kSnapshotChunkSize - 1) / kSnapshotChunkSize);
   chunk.data.assign(snap->bytes.begin() + static_cast<size_t>(begin),
                     snap->bytes.begin() + static_cast<size_t>(begin + len));
   chunk.checksum = WalChecksum(chunk.data.data(), chunk.data.size());

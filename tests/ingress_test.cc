@@ -373,7 +373,7 @@ TEST(IngressFrontEnd, MemoryBoundedAtTwiceSaturation) {
   EXPECT_LE(fe.admission().TrackedClients(), options.admission.max_tracked_clients);
   EXPECT_LE(fe.dedup().TrackedClients(), options.dedup.max_tracked_clients);
   EXPECT_LE(fe.batcher().ClosedCount(), options.batcher.max_closed_batches);
-  EXPECT_LE(fe.router().PendingBatches(), options.max_pending_batches);
+  EXPECT_LE(fe.router().PendingBatches(), kMaxPendingBatches);
 }
 
 // ---- OpenLoopLoadGen ----
@@ -464,6 +464,36 @@ TEST(LoadGen, GivesUpAfterMaxRetries) {
   EXPECT_EQ(gen.PendingRetries(), 2u);
   gen.OnReply(reject, Millis(70));  // Third strike: abandoned.
   EXPECT_EQ(gen.stats().gave_up, 1u);
+}
+
+// An open-loop client's latency starts when its request was due, not when
+// the generator was next polled: poll lateness is queueing too.
+TEST(LoadGen, LatencyCountsFromDueTimeNotPollTime) {
+  LoadGenOptions options;
+  options.seed = 11;
+  options.offered_load_tps = 100;
+  options.burst_prob = 0;
+  options.dup_probe_prob = 0;
+  // A Poll before the first due time emits nothing and draws no randomness,
+  // so stepping a twin generator finds that due time exactly.
+  OpenLoopLoadGen probe(options, 0);
+  TimeMicros due = 0;
+  while (probe.Poll(due).empty()) {
+    ++due;
+  }
+
+  OpenLoopLoadGen gen(options, 0);
+  std::vector<Bytes> frames = gen.Poll(due + Millis(5));  // Polled 5 ms late.
+  ASSERT_FALSE(frames.empty());
+  auto msg = ClientRequestMsg::Decode(frames[0]);
+  ASSERT_TRUE(msg.has_value());
+  ClientReplyMsg committed;
+  committed.client_id = msg->client_id;
+  committed.client_seq = msg->client_seq;
+  committed.status = ClientReplyStatus::kCommitted;
+  gen.OnReply(committed, due + Millis(7));  // Replied 2 ms after the poll.
+  ASSERT_EQ(gen.LatencySamples().size(), 1u);
+  EXPECT_EQ(gen.LatencySamples()[0], Millis(7));
 }
 
 // ---- End to end over the simulated cluster ----

@@ -1,4 +1,4 @@
-// BufferPool / ControlBlockArena / EncodeToShared (common/pool.h).
+// BufferPool / the slab arenas / EncodeToShared (common/pool.h).
 //
 // The multi-threaded cases double as the TSan workload for the pool: CI's
 // sanitizer job runs this suite with threads hammering Acquire/Share/release
@@ -95,24 +95,41 @@ TEST(BufferPool, EncodeToSharedProducesEncodedBytes) {
   EXPECT_EQ(r.Remaining(), 0u);
 }
 
-TEST(ControlBlockArena, RecyclesSlots) {
-  ControlBlockArena arena;
+// ControlBlockArena and NodeArena are two instances of one SlabArena
+// implementation; every slot-arena case runs over both.
+template <typename Arena>
+void ExpectRecyclesSlots() {
+  Arena arena;
   void* a = arena.Allocate(64);
   ASSERT_NE(a, nullptr);
   arena.Free(a, 64);
   void* b = arena.Allocate(64);
   EXPECT_EQ(a, b) << "freed slot should be recycled LIFO";
   arena.Free(b, 64);
+  EXPECT_EQ(arena.slots_carved(), SlabArena::kSlotsPerSlab);
   EXPECT_EQ(arena.heap_fallbacks(), 0u);
 }
 
-TEST(ControlBlockArena, OversizedRequestsFallBackToHeap) {
-  ControlBlockArena arena;
-  void* p = arena.Allocate(ControlBlockArena::kSlotBytes + 1);
+template <typename Arena>
+void ExpectOversizedRequestsFallBackToHeap() {
+  Arena arena;
+  void* p = arena.Allocate(Arena::kSlotBytes + 1);
   ASSERT_NE(p, nullptr);
-  arena.Free(p, ControlBlockArena::kSlotBytes + 1);
+  arena.Free(p, Arena::kSlotBytes + 1);
   EXPECT_EQ(arena.slots_carved(), 0u);
   EXPECT_EQ(arena.heap_fallbacks(), 1u);
+}
+
+TEST(ControlBlockArena, RecyclesSlots) { ExpectRecyclesSlots<ControlBlockArena>(); }
+
+TEST(ControlBlockArena, OversizedRequestsFallBackToHeap) {
+  ExpectOversizedRequestsFallBackToHeap<ControlBlockArena>();
+}
+
+TEST(NodeArena, RecyclesSlots) { ExpectRecyclesSlots<NodeArena>(); }
+
+TEST(NodeArena, OversizedRequestsFallBackToHeap) {
+  ExpectOversizedRequestsFallBackToHeap<NodeArena>();
 }
 
 // Shared buffers released from many threads at once: exercises the

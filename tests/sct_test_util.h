@@ -47,8 +47,8 @@ inline uint64_t DeepMultiplier() {
 }
 
 // Minimal mailbox event loop running on a scheduled thread — the SCT stand-in
-// for the inproc/TCP loop threads (which stay free-running under SCT because
-// they wait on real time). Post() enqueues a closure; Stop() drains the
+// for the TCP loop thread (which stays free-running under SCT because it
+// waits on real time). Post() enqueues a closure; Stop() drains the
 // queue and joins. Used to drive thread-confined components (ingress
 // Batcher, log) from a scheduled thread while other scheduled threads race.
 class SctLoop {

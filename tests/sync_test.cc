@@ -755,20 +755,6 @@ TEST_F(VertexFetcherTest, ArrivalThroughBroadcastCancelsFetch) {
   EXPECT_EQ(fetcher.TakeAdmissible().size(), 1u);
 }
 
-TEST_F(VertexFetcherTest, DisabledFetcherBuffersWithoutRequesting) {
-  FetcherConfig config;
-  config.enabled = false;
-  VertexFetcher fetcher(runtime_, dag_, config);
-
-  Vertex parent = MakeVertex(1, 0);
-  fetcher.AddBlocked(ChildOf(parent, 1), Digest::Of(ToBytes("c")));
-  runtime_.AdvanceTo(Seconds(30));
-  EXPECT_TRUE(runtime_.sent.empty());  // Pure missing-parent buffer.
-
-  ASSERT_TRUE(dag_.Insert(parent));
-  EXPECT_EQ(fetcher.TakeAdmissible().size(), 1u);
-}
-
 TEST_F(VertexFetcherTest, PinsGcFloorAndPrunes) {
   VertexFetcher fetcher(runtime_, dag_, FetcherConfig{});
   EXPECT_FALSE(fetcher.OldestPinnedRound().has_value());

@@ -1,5 +1,5 @@
-// Real-transport tests: the in-process threaded cluster and the epoll TCP
-// mesh, including a small live consensus run over TCP on localhost.
+// Real-transport tests: the epoll TCP mesh, including its single-serialize
+// fan-out and a small live consensus run over TCP on localhost.
 
 #include <gtest/gtest.h>
 
@@ -8,11 +8,11 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <future>
 #include <mutex>
 #include <thread>
 
 #include "core/app_node.h"
-#include "net/inproc_transport.h"
 #include "net/tcp_transport.h"
 #include "smr/execution.h"
 
@@ -37,85 +37,46 @@ struct CountingHandler : MessageHandler {
   }
 };
 
-TEST(InProcCluster, DeliversPointToPoint) {
-  InProcCluster cluster(3);
-  CountingHandler handlers[3];
-  for (NodeId id = 0; id < 3; ++id) {
-    cluster.RegisterHandler(id, &handlers[id]);
-  }
-  cluster.Start();
-  cluster.Post(0, [&] { cluster.RuntimeOf(0).Send(1, 7, ToBytes("hello")); });
-  EXPECT_TRUE(handlers[1].WaitForCount(1));
-  EXPECT_EQ(handlers[1].received[0], (std::pair<NodeId, MsgType>{0, 7}));
-  cluster.Stop();
-}
-
-TEST(InProcCluster, BroadcastReachesEveryoneIncludingSelf) {
-  InProcCluster cluster(4);
-  CountingHandler handlers[4];
-  for (NodeId id = 0; id < 4; ++id) {
-    cluster.RegisterHandler(id, &handlers[id]);
-  }
-  cluster.Start();
-  cluster.Post(2, [&] { cluster.RuntimeOf(2).Broadcast(9, ToBytes("to all")); });
-  for (NodeId id = 0; id < 4; ++id) {
-    EXPECT_TRUE(handlers[id].WaitForCount(1)) << "node " << id;
-  }
-  cluster.Stop();
-}
-
-TEST(InProcCluster, TimersFire) {
-  InProcCluster cluster(1);
-  CountingHandler handler;
-  cluster.RegisterHandler(0, &handler);
-  cluster.Start();
-  std::atomic<bool> fired{false};
-  cluster.Post(0, [&] {
-    cluster.RuntimeOf(0).Schedule(Millis(20), [&] { fired.store(true); });
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(200));
-  EXPECT_TRUE(fired.load());
-  cluster.Stop();
-}
-
-TEST(InProcCluster, ClockIsMonotonic) {
-  InProcCluster cluster(1);
-  CountingHandler handler;
-  cluster.RegisterHandler(0, &handler);
-  cluster.Start();
-  std::atomic<TimeMicros> t1{0};
-  std::atomic<TimeMicros> t2{0};
-  cluster.Post(0, [&] { t1.store(cluster.RuntimeOf(0).Now()); });
-  std::this_thread::sleep_for(std::chrono::milliseconds(30));
-  cluster.Post(0, [&] { t2.store(cluster.RuntimeOf(0).Now()); });
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  EXPECT_GT(t2.load(), t1.load());
-  cluster.Stop();
-}
-
 uint16_t PickBasePort(int salt) {
   // Per-test port ranges to avoid collisions across tests in one run.
   return static_cast<uint16_t>(21000 + salt * 64 + (getpid() % 50) * 8);
+}
+
+// One TcpRuntime per node, listening on consecutive ports from `base_port`
+// and delivering into handlers[id].
+template <typename Handler>
+std::vector<std::unique_ptr<TcpRuntime>> MakeMesh(uint32_t num_nodes, uint16_t base_port,
+                                                  Handler* handlers) {
+  std::vector<std::unique_ptr<TcpRuntime>> nodes;
+  for (NodeId id = 0; id < num_nodes; ++id) {
+    TcpConfig config;
+    config.id = id;
+    config.num_nodes = num_nodes;
+    config.base_port = base_port;
+    nodes.push_back(std::make_unique<TcpRuntime>(config, &handlers[id]));
+  }
+  return nodes;
+}
+
+// Starts every node; false if some node's outbound links did not all come up.
+bool StartMesh(std::vector<std::unique_ptr<TcpRuntime>>& nodes) {
+  for (auto& node : nodes) {
+    node->Start();
+  }
+  for (auto& node : nodes) {
+    if (!node->WaitConnected(Seconds(10))) {
+      return false;
+    }
+  }
+  return true;
 }
 
 TEST(TcpTransport, MeshConnectsAndDelivers) {
   constexpr uint32_t kNodes = 3;
   const uint16_t base_port = PickBasePort(0);
   CountingHandler handlers[kNodes];
-  std::vector<std::unique_ptr<TcpRuntime>> nodes;
-  for (NodeId id = 0; id < kNodes; ++id) {
-    TcpConfig config;
-    config.id = id;
-    config.num_nodes = kNodes;
-    config.base_port = base_port;
-    nodes.push_back(std::make_unique<TcpRuntime>(config, &handlers[id]));
-  }
-  for (auto& node : nodes) {
-    node->Start();
-  }
-  for (auto& node : nodes) {
-    ASSERT_TRUE(node->WaitConnected(Seconds(10)));
-  }
+  auto nodes = MakeMesh(kNodes, base_port, handlers);
+  ASSERT_TRUE(StartMesh(nodes));
   nodes[0]->Send(1, 42, ToBytes("over tcp"));
   nodes[2]->Send(1, 43, ToBytes("also tcp"));
   EXPECT_TRUE(handlers[1].WaitForCount(2));
@@ -128,14 +89,7 @@ TEST(TcpTransport, LargeFrameRoundTrips) {
   constexpr uint32_t kNodes = 2;
   const uint16_t base_port = PickBasePort(1);
   CountingHandler handlers[kNodes];
-  std::vector<std::unique_ptr<TcpRuntime>> nodes;
-  for (NodeId id = 0; id < kNodes; ++id) {
-    TcpConfig config;
-    config.id = id;
-    config.num_nodes = kNodes;
-    config.base_port = base_port;
-    nodes.push_back(std::make_unique<TcpRuntime>(config, &handlers[id]));
-  }
+  auto nodes = MakeMesh(kNodes, base_port, handlers);
   for (auto& node : nodes) {
     node->Start();
   }
@@ -149,13 +103,9 @@ TEST(TcpTransport, LargeFrameRoundTrips) {
 }
 
 TEST(TcpTransport, SelfSendLoopsBack) {
-  const uint16_t base_port = PickBasePort(2);
   CountingHandler handler;
-  TcpConfig config;
-  config.id = 0;
-  config.num_nodes = 1;
-  config.base_port = base_port;
-  TcpRuntime node(config, &handler);
+  auto nodes = MakeMesh(1, PickBasePort(2), &handler);
+  TcpRuntime& node = *nodes[0];
   node.Start();
   node.Send(0, 11, ToBytes("self"));
   EXPECT_TRUE(handler.WaitForCount(1));
@@ -163,19 +113,76 @@ TEST(TcpTransport, SelfSendLoopsBack) {
 }
 
 TEST(TcpTransport, ScheduleRunsOnLoopThread) {
-  const uint16_t base_port = PickBasePort(3);
   CountingHandler handler;
-  TcpConfig config;
-  config.id = 0;
-  config.num_nodes = 1;
-  config.base_port = base_port;
-  TcpRuntime node(config, &handler);
+  auto nodes = MakeMesh(1, PickBasePort(3), &handler);
+  TcpRuntime& node = *nodes[0];
   node.Start();
   std::atomic<bool> fired{false};
   node.Schedule(Millis(30), [&] { fired.store(true); });
   std::this_thread::sleep_for(std::chrono::milliseconds(300));
   EXPECT_TRUE(fired.load());
   node.Stop();
+}
+
+// The single-serialize Broadcast override: one frame per peer over the mesh,
+// plus a loopback delivery to the sender itself.
+TEST(TcpTransport, BroadcastReachesEveryoneIncludingSelf) {
+  constexpr uint32_t kNodes = 4;
+  const uint16_t base_port = PickBasePort(8);
+  CountingHandler handlers[kNodes];
+  auto nodes = MakeMesh(kNodes, base_port, handlers);
+  ASSERT_TRUE(StartMesh(nodes));
+  nodes[2]->Broadcast(9, ToBytes("to all"));
+  for (NodeId id = 0; id < kNodes; ++id) {
+    EXPECT_TRUE(handlers[id].WaitForCount(1)) << "node " << id;
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));  // Room for duplicates.
+  for (auto& node : nodes) {
+    node->Stop();
+  }
+  for (NodeId id = 0; id < kNodes; ++id) {
+    ASSERT_EQ(handlers[id].received.size(), 1u) << "node " << id;
+    EXPECT_EQ(handlers[id].received[0], (std::pair<NodeId, MsgType>{2, 9})) << "node " << id;
+  }
+}
+
+// The Multicast override reaches exactly its targets: not the sender, not
+// the other peers.
+TEST(TcpTransport, MulticastReachesOnlyTargets) {
+  constexpr uint32_t kNodes = 4;
+  const uint16_t base_port = PickBasePort(9);
+  CountingHandler handlers[kNodes];
+  auto nodes = MakeMesh(kNodes, base_port, handlers);
+  ASSERT_TRUE(StartMesh(nodes));
+  nodes[0]->Multicast({1, 3}, 12, ToBytes("to some"));
+  EXPECT_TRUE(handlers[1].WaitForCount(1));
+  EXPECT_TRUE(handlers[3].WaitForCount(1));
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));  // Grace period.
+  for (auto& node : nodes) {
+    node->Stop();
+  }
+  EXPECT_TRUE(handlers[0].received.empty());
+  EXPECT_TRUE(handlers[2].received.empty());
+  EXPECT_EQ(handlers[1].received.size(), 1u);
+  EXPECT_EQ(handlers[3].received.size(), 1u);
+}
+
+TEST(TcpTransport, ClockIsMonotonic) {
+  CountingHandler handler;
+  auto nodes = MakeMesh(1, PickBasePort(10), &handler);
+  TcpRuntime& node = *nodes[0];
+  node.Start();
+  // Read the clock on the loop thread, where protocol code reads it. The
+  // promises outlive the loop thread (joined by Stop() below).
+  std::promise<TimeMicros> first;
+  std::promise<TimeMicros> second;
+  node.Post([&] { first.set_value(node.Now()); });
+  const TimeMicros t1 = first.get_future().get();
+  std::this_thread::sleep_for(std::chrono::milliseconds(30));
+  node.Post([&] { second.set_value(node.Now()); });
+  const TimeMicros t2 = second.get_future().get();
+  node.Stop();
+  EXPECT_GT(t2, t1);
 }
 
 // Waits until `h` has received at least one message of `type`.
@@ -191,59 +198,17 @@ bool WaitForType(CountingHandler& h, MsgType type, int timeout_ms = 5000) {
   });
 }
 
-// Cross-thread contract: Send() is callable from any thread. Hammer one
-// node's mailbox from several threads at once; every message must arrive.
-// Primarily a ThreadSanitizer target (CI job `tsan`).
-TEST(InProcCluster, SendFromManyThreads) {
-  constexpr int kThreads = 4;
-  constexpr int kPerThread = 250;
-  InProcCluster cluster(3);
-  CountingHandler handlers[3];
-  for (NodeId id = 0; id < 3; ++id) {
-    cluster.RegisterHandler(id, &handlers[id]);
-  }
-  cluster.Start();
-  std::vector<std::thread> senders;
-  for (int t = 0; t < kThreads; ++t) {
-    senders.emplace_back([&cluster, t] {
-      for (int i = 0; i < kPerThread; ++i) {
-        cluster.RuntimeOf(0).Send(1, static_cast<MsgType>(20 + t), ToBytes("m"));
-        if (i % 100 == 0) {
-          // Timers from foreign threads ride the same contract.
-          cluster.RuntimeOf(0).Schedule(Millis(1), [] {});
-        }
-      }
-    });
-  }
-  for (auto& th : senders) {
-    th.join();
-  }
-  EXPECT_TRUE(handlers[1].WaitForCount(kThreads * kPerThread, 20000));
-  cluster.Stop();
-}
-
-// Same contract over the TCP transport: concurrent Send() callers share the
-// command queue and the wake eventfd; nothing may be lost once connected.
+// Cross-thread contract: Send() is callable from any thread. Concurrent
+// callers share the command queue and the wake eventfd; nothing may be lost
+// once connected. Primarily a ThreadSanitizer target (CI job `tsan`).
 TEST(TcpTransport, SendFromManyThreadsDeliversAll) {
   constexpr uint32_t kNodes = 2;
   constexpr int kThreads = 4;
   constexpr int kPerThread = 250;
   const uint16_t base_port = PickBasePort(5);
   CountingHandler handlers[kNodes];
-  std::vector<std::unique_ptr<TcpRuntime>> nodes;
-  for (NodeId id = 0; id < kNodes; ++id) {
-    TcpConfig config;
-    config.id = id;
-    config.num_nodes = kNodes;
-    config.base_port = base_port;
-    nodes.push_back(std::make_unique<TcpRuntime>(config, &handlers[id]));
-  }
-  for (auto& node : nodes) {
-    node->Start();
-  }
-  for (auto& node : nodes) {
-    ASSERT_TRUE(node->WaitConnected(Seconds(10)));
-  }
+  auto nodes = MakeMesh(kNodes, base_port, handlers);
+  ASSERT_TRUE(StartMesh(nodes));
   std::vector<std::thread> senders;
   for (int t = 0; t < kThreads; ++t) {
     senders.emplace_back([&nodes, t] {
@@ -267,20 +232,8 @@ TEST(TcpTransport, StopWhileSendersRunning) {
   constexpr uint32_t kNodes = 2;
   const uint16_t base_port = PickBasePort(6);
   CountingHandler handlers[kNodes];
-  std::vector<std::unique_ptr<TcpRuntime>> nodes;
-  for (NodeId id = 0; id < kNodes; ++id) {
-    TcpConfig config;
-    config.id = id;
-    config.num_nodes = kNodes;
-    config.base_port = base_port;
-    nodes.push_back(std::make_unique<TcpRuntime>(config, &handlers[id]));
-  }
-  for (auto& node : nodes) {
-    node->Start();
-  }
-  for (auto& node : nodes) {
-    ASSERT_TRUE(node->WaitConnected(Seconds(10)));
-  }
+  auto nodes = MakeMesh(kNodes, base_port, handlers);
+  ASSERT_TRUE(StartMesh(nodes));
   std::atomic<bool> done{false};
   std::vector<std::thread> senders;
   for (int t = 0; t < 3; ++t) {
@@ -307,14 +260,7 @@ TEST(TcpTransport, StartStopCyclesWithConcurrentSenders) {
   constexpr uint32_t kNodes = 2;
   const uint16_t base_port = PickBasePort(7);
   CountingHandler handlers[kNodes];
-  std::vector<std::unique_ptr<TcpRuntime>> nodes;
-  for (NodeId id = 0; id < kNodes; ++id) {
-    TcpConfig config;
-    config.id = id;
-    config.num_nodes = kNodes;
-    config.base_port = base_port;
-    nodes.push_back(std::make_unique<TcpRuntime>(config, &handlers[id]));
-  }
+  auto nodes = MakeMesh(kNodes, base_port, handlers);
   std::atomic<bool> done{false};
   std::vector<std::thread> senders;
   for (int t = 0; t < 2; ++t) {
@@ -342,12 +288,7 @@ TEST(TcpTransport, StartStopCyclesWithConcurrentSenders) {
     th.join();
   }
   // One more clean start: the transport must still work after the churn.
-  for (auto& node : nodes) {
-    node->Start();
-  }
-  for (auto& node : nodes) {
-    ASSERT_TRUE(node->WaitConnected(Seconds(10)));
-  }
+  ASSERT_TRUE(StartMesh(nodes));
   nodes[0]->Send(1, 99, ToBytes("post-churn"));
   EXPECT_TRUE(WaitForType(handlers[1], 99));
   for (auto& node : nodes) {
@@ -364,7 +305,6 @@ TEST(TcpTransport, FourNodeConsensusCommits) {
   ClanTopology topology = ClanTopology::Full(kNodes);
 
   std::vector<std::unique_ptr<AppNode>> apps(kNodes);
-  std::vector<std::unique_ptr<TcpRuntime>> nets(kNodes);
   std::vector<std::atomic<uint64_t>> executed(kNodes);
 
   struct Router : MessageHandler {
@@ -376,14 +316,7 @@ TEST(TcpTransport, FourNodeConsensusCommits) {
     }
   };
   std::vector<Router> routers(kNodes);
-
-  for (NodeId id = 0; id < kNodes; ++id) {
-    TcpConfig config;
-    config.id = id;
-    config.num_nodes = kNodes;
-    config.base_port = base_port;
-    nets[id] = std::make_unique<TcpRuntime>(config, &routers[id]);
-  }
+  auto nets = MakeMesh(kNodes, base_port, routers.data());
   for (NodeId id = 0; id < kNodes; ++id) {
     AppNodeOptions options;
     options.consensus.num_nodes = kNodes;
@@ -398,12 +331,7 @@ TEST(TcpTransport, FourNodeConsensusCommits) {
                                          std::move(callbacks));
     routers[id].app = apps[id].get();
   }
-  for (auto& net : nets) {
-    net->Start();
-  }
-  for (auto& net : nets) {
-    ASSERT_TRUE(net->WaitConnected(Seconds(10)));
-  }
+  ASSERT_TRUE(StartMesh(nets));
   // Submit client transfers at node 0, then start consensus everywhere.
   for (NodeId id = 0; id < kNodes; ++id) {
     nets[id]->Post([&, id] {

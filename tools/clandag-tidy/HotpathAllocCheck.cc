@@ -66,8 +66,9 @@ bool IsPoolingClass(const CXXRecordDecl* RD) {
     return false;
   }
   const StringRef Name = RD->getName();
-  return Name == "BufferPool" || Name == "ControlBlockArena" ||
-         Name == "NodeArena" || Name == "PooledBytes" ||
+  return Name == "BufferPool" || Name == "SlabArena" ||
+         Name == "ControlBlockArena" || Name == "NodeArena" ||
+         Name == "PooledBytes" ||
          Name == "NodeAllocator" || Name == "ArenaAllocator";
 }
 
