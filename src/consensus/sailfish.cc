@@ -205,17 +205,7 @@ void SailfishNode::InstallSnapshot(NodeId from, SnapshotData snap) {
   const Round floor = snap.last_committed + 1;
   fetcher_->PruneBelow(floor);
   dissem_->PruneBelow(snap.dag_floor);
-  auto prune_round_map = [floor](auto& m) { m.erase(m.begin(), m.lower_bound(floor)); };
-  prune_round_map(timeout_votes_);
-  prune_round_map(tcs_);
-  prune_round_map(novote_votes_);
-  prune_round_map(nvcs_);
-  while (!timeout_fired_.empty() && *timeout_fired_.begin() < floor) {
-    timeout_fired_.erase(timeout_fired_.begin());
-  }
-  while (!no_voted_.empty() && *no_voted_.begin() < floor) {
-    no_voted_.erase(no_voted_.begin());
-  }
+  PruneRoundState(floor);
   // Let the SMR layer restore execution, persist the snapshot and cut its
   // WAL before this node proposes again (the proposal marker must land in
   // the post-cut log or a restart could self-equivocate).
@@ -632,19 +622,17 @@ void SailfishNode::GarbageCollect() {
   dag_.PruneBelow(floor);
   dissem_->PruneBelow(floor);
   fetcher_->PruneBelow(floor);
-  auto prune_round_map = [floor](auto& m) {
-    m.erase(m.begin(), m.lower_bound(floor));
-  };
-  prune_round_map(timeout_votes_);
-  prune_round_map(tcs_);
-  prune_round_map(novote_votes_);
-  prune_round_map(nvcs_);
-  while (!timeout_fired_.empty() && *timeout_fired_.begin() < floor) {
-    timeout_fired_.erase(timeout_fired_.begin());
-  }
-  while (!no_voted_.empty() && *no_voted_.begin() < floor) {
-    no_voted_.erase(no_voted_.begin());
-  }
+  PruneRoundState(floor);
+}
+
+void SailfishNode::PruneRoundState(Round floor) {
+  auto prune = [floor](auto& c) { c.erase(c.begin(), c.lower_bound(floor)); };
+  prune(timeout_votes_);
+  prune(tcs_);
+  prune(novote_votes_);
+  prune(nvcs_);
+  prune(timeout_fired_);
+  prune(no_voted_);
 }
 
 }  // namespace clandag

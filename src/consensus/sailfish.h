@@ -188,6 +188,8 @@ class SailfishNode final : public MessageHandler {
   CLANDAG_HOT void OnTimeoutMsg(NodeId from, const Bytes& payload);
   CLANDAG_HOT void OnNoVoteMsg(NodeId from, const Bytes& payload);
   void GarbageCollect();
+  // Drops the per-round timeout/no-vote bookkeeping below `floor`.
+  void PruneRoundState(Round floor);
   // Adopts a peer-served snapshot mid-run: resets the DAG to its frontier,
   // advances the commit frontier and jumps the round. No-op when stale.
   // cold: deep catch-up only.

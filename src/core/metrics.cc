@@ -107,22 +107,4 @@ std::string FormatSyncStats(const SyncStats& s) {
   return std::string(buf);
 }
 
-std::string FormatTransportStats(const TransportStats& s) {
-  char buf[256];
-  std::snprintf(buf, sizeof(buf),
-                "tcp: sent=%llu buffered=%llu flushed=%llu buf_drop=%llu "
-                "queue_drop=%llu partial_drop=%llu | dial: tries=%llu fail=%llu "
-                "closed=%llu",
-                static_cast<unsigned long long>(s.sends),
-                static_cast<unsigned long long>(s.preconnect_buffered),
-                static_cast<unsigned long long>(s.preconnect_flushed),
-                static_cast<unsigned long long>(s.preconnect_dropped),
-                static_cast<unsigned long long>(s.queue_dropped),
-                static_cast<unsigned long long>(s.partial_dropped),
-                static_cast<unsigned long long>(s.dial_attempts),
-                static_cast<unsigned long long>(s.dial_failures),
-                static_cast<unsigned long long>(s.conns_closed));
-  return std::string(buf);
-}
-
 }  // namespace clandag

@@ -11,7 +11,6 @@
 #include <string>
 #include <vector>
 
-#include "net/transport_stats.h"
 #include "sync/sync_stats.h"
 
 namespace clandag {
@@ -47,9 +46,6 @@ class LatencyStats {
 
 // One-line human-readable rendering of the sync subsystem counters.
 std::string FormatSyncStats(const SyncStats& s);
-
-// One-line human-readable rendering of the transport counters.
-std::string FormatTransportStats(const TransportStats& s);
 
 }  // namespace clandag
 

@@ -199,13 +199,11 @@ class ChaosCluster {
     options.consensus.num_faults = static_cast<uint32_t>(MaxTribeFaults(plan_.num_nodes));
     options.consensus.round_timeout = opts_.round_timeout;
     options.consensus.gc_depth = opts_.gc_depth;
-    if (opts_.use_wal) {
-      options.wal_path = WalPath(id);
-    }
+    options.wal_path = WalPath(id);
 
     AppNodeCallbacks callbacks;
     const std::shared_ptr<bool> active = stack.active;
-    if (opts_.use_wal && opts_.snapshot_interval_rounds > 0) {
+    if (opts_.snapshot_interval_rounds > 0) {
       options.snapshot_interval_rounds = opts_.snapshot_interval_rounds;
       options.snapshot_write_fault = [this, id, active](uint64_t seq) {
         if (!*active) {

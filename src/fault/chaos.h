@@ -24,14 +24,13 @@ namespace clandag {
 
 struct ChaosOptions {
   TimeMicros round_timeout = Millis(300);
-  bool use_wal = true;
   Round gc_depth = 32;
   // The run lasts until max(plan.horizon, HealTime() + post_heal_run).
   TimeMicros post_heal_run = Seconds(5);
   // Directory for per-node WAL files (empty = /tmp).
   std::string wal_dir;
 
-  // > 0 (and use_wal): every node checkpoints executed state + DAG frontier
+  // > 0: every node checkpoints executed state + DAG frontier
   // each `snapshot_interval_rounds` committed rounds and compacts its WAL to
   // the checkpoint. Enables plan.snapshots faults and snapshot-assisted
   // catch-up for deep laggards.

@@ -39,7 +39,6 @@ bool AdmissionController::EvictIdle(TimeMicros now) {
                            now - it->second.last_touch >= options_.idle_eviction;
     if (idle_full) {
       it = buckets_.erase(it);
-      ++stats_.buckets_evicted;
       evicted = true;
     } else {
       ++it;
@@ -52,7 +51,6 @@ AdmitDecision AdmissionController::Admit(uint64_t client, size_t bytes, TimeMicr
   // Global byte budget first: it protects the node, the bucket protects
   // fairness among clients.
   if (in_flight_bytes_ + bytes > options_.global_byte_budget) {
-    ++stats_.rejected_capacity;
     return {AdmitVerdict::kRejectCapacity, kCapacityRetryAfter};
   }
 
@@ -60,7 +58,6 @@ AdmitDecision AdmissionController::Admit(uint64_t client, size_t bytes, TimeMicr
   if (it == buckets_.end()) {
     if (buckets_.size() >= options_.max_tracked_clients && !EvictIdle(now)) {
       // Table full of active clients: fail closed rather than grow.
-      ++stats_.rejected_capacity;
       return {AdmitVerdict::kRejectCapacity, kCapacityRetryAfter};
     }
     it = buckets_.emplace(client, Bucket{options_.bucket_burst, now}).first;
@@ -69,7 +66,6 @@ AdmitDecision AdmissionController::Admit(uint64_t client, size_t bytes, TimeMicr
   Bucket& bucket = it->second;
   Refill(bucket, now);
   if (bucket.tokens < 1.0) {
-    ++stats_.rejected_rate;
     const double missing = 1.0 - bucket.tokens;
     const TimeMicros retry = static_cast<TimeMicros>(
         missing / options_.tokens_per_sec * static_cast<double>(kMicrosPerSecond));
@@ -77,7 +73,6 @@ AdmitDecision AdmissionController::Admit(uint64_t client, size_t bytes, TimeMicr
   }
   bucket.tokens -= 1.0;
   in_flight_bytes_ += bytes;
-  ++stats_.admitted;
   return {AdmitVerdict::kAdmit, 0};
 }
 

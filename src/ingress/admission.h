@@ -59,13 +59,6 @@ struct AdmitDecision {
   TimeMicros retry_after = 0;  // Meaningful for both rejection verdicts.
 };
 
-struct AdmissionStats {
-  uint64_t admitted = 0;
-  uint64_t rejected_rate = 0;
-  uint64_t rejected_capacity = 0;
-  uint64_t buckets_evicted = 0;
-};
-
 class AdmissionController {
  public:
   explicit AdmissionController(AdmissionOptions options);
@@ -81,7 +74,6 @@ class AdmissionController {
 
   uint64_t InFlightBytes() const { return in_flight_bytes_; }
   size_t TrackedClients() const { return buckets_.size(); }
-  const AdmissionStats& stats() const { return stats_; }
   const AdmissionOptions& options() const { return options_; }
 
  private:
@@ -97,7 +89,6 @@ class AdmissionController {
   AdmissionOptions options_;
   std::unordered_map<uint64_t, Bucket> buckets_;  // Bounded by max_tracked_clients.
   uint64_t in_flight_bytes_ = 0;
-  AdmissionStats stats_;
 };
 
 }  // namespace clandag

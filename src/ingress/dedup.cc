@@ -27,17 +27,9 @@ DedupVerdict DedupFilter::Check(uint64_t client, uint64_t seq, TimeMicros now) {
   const Entry* entry = it == entries_.end() ? nullptr : &it->second;
   if (entry == nullptr && entries_.size() >= options_.max_tracked_clients &&
       !EvictIdle(now)) {
-    ++stats_.untracked;
     return DedupVerdict::kUntracked;
   }
-  const DedupVerdict verdict = Classify(entry, seq);
-  switch (verdict) {
-    case DedupVerdict::kFresh: ++stats_.fresh; break;
-    case DedupVerdict::kDuplicate: ++stats_.duplicates; break;
-    case DedupVerdict::kStale: ++stats_.stale; break;
-    case DedupVerdict::kUntracked: break;  // Counted above.
-  }
-  return verdict;
+  return Classify(entry, seq);
 }
 
 void DedupFilter::Record(uint64_t client, uint64_t seq, TimeMicros now) {
@@ -74,7 +66,6 @@ bool DedupFilter::EvictIdle(TimeMicros now) {
   for (auto it = entries_.begin(); it != entries_.end();) {
     if (now - it->second.last_touch >= options_.idle_eviction) {
       it = entries_.erase(it);
-      ++stats_.clients_evicted;
       evicted = true;
     } else {
       ++it;

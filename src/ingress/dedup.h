@@ -52,19 +52,12 @@ enum class DedupVerdict : uint8_t {
   kUntracked,  // Client table full of active clients — reject (capacity).
 };
 
-struct DedupStats {
-  uint64_t fresh = 0;
-  uint64_t duplicates = 0;
-  uint64_t stale = 0;
-  uint64_t untracked = 0;
-  uint64_t clients_evicted = 0;
-};
-
 class DedupFilter {
  public:
   explicit DedupFilter(DedupOptions options);
 
-  // Classifies (client, seq) without mutating window state (stats only).
+  // Classifies (client, seq) without mutating window state (idle clients
+  // may be evicted to make room for a new one).
   DedupVerdict Check(uint64_t client, uint64_t seq, TimeMicros now);
 
   // Records (client, seq) as included. Call only after Check() returned
@@ -72,7 +65,6 @@ class DedupFilter {
   void Record(uint64_t client, uint64_t seq, TimeMicros now);
 
   size_t TrackedClients() const { return entries_.size(); }
-  const DedupStats& stats() const { return stats_; }
 
  private:
   struct Entry {
@@ -87,7 +79,6 @@ class DedupFilter {
 
   DedupOptions options_;
   std::unordered_map<uint64_t, Entry> entries_;  // Bounded by max_tracked_clients.
-  DedupStats stats_;
 };
 
 }  // namespace clandag

@@ -69,11 +69,6 @@ void ReplyRouter::Resolve(Round round, ClientReplyStatus status,
   PendingBatch batch = std::move(it->second);
   pending_.erase(it);
 
-  if (status == ClientReplyStatus::kCommitted) {
-    ++stats_.batches_confirmed;
-  } else {
-    ++stats_.batches_expired;
-  }
   for (uint64_t id : batch.request_ids) {
     ClientReplyMsg reply;
     reply.client_id = RequestClientOf(id);
@@ -83,11 +78,6 @@ void ReplyRouter::Resolve(Round round, ClientReplyStatus status,
     reply.proposer = self_;
     if (receipt != nullptr) {
       reply.state_digest = receipt->state_digest;
-    }
-    if (status == ClientReplyStatus::kCommitted) {
-      ++stats_.replies_committed;
-    } else {
-      ++stats_.replies_expired;
     }
     if (reply_fn_) {
       reply_fn_(reply.client_id, reply);

@@ -39,13 +39,6 @@ struct ReplyRouterOptions {
   TimeMicros batch_expiry = Seconds(10);
 };
 
-struct ReplyRouterStats {
-  uint64_t batches_confirmed = 0;
-  uint64_t batches_expired = 0;
-  uint64_t replies_committed = 0;
-  uint64_t replies_expired = 0;
-};
-
 class ReplyRouter {
  public:
   // `reply_fn(client, reply)` delivers a reply frame toward the client;
@@ -69,7 +62,6 @@ class ReplyRouter {
   void ExpireStale(TimeMicros now);
 
   size_t PendingBatches() const { return pending_.size(); }
-  const ReplyRouterStats& stats() const { return stats_; }
 
  private:
   struct PendingBatch {
@@ -88,7 +80,6 @@ class ReplyRouter {
   ReleaseFn release_fn_;
   ClientReplyCollector collector_;
   std::map<Round, PendingBatch> pending_;  // Keyed by round; bounded by kMaxPendingBatches.
-  ReplyRouterStats stats_;
 };
 
 }  // namespace clandag

@@ -77,7 +77,7 @@ class Runtime {
   // (see EncodeToShared in common/pool.h). `wire_size` of 0 means the
   // payload's own size. Virtual so transports can fan the shared buffer out
   // in one hop (TcpRuntime encodes one frame header and appends the same
-  // payload to every per-peer out-queue); the default loops over Send().
+  // payload to every per-peer outbox); the default loops over Send().
   virtual void Multicast(const std::vector<NodeId>& targets, MsgType type,
                          std::shared_ptr<const Bytes> payload, size_t wire_size = 0);
   virtual void Broadcast(MsgType type, std::shared_ptr<const Bytes> payload,

@@ -28,8 +28,8 @@ constexpr uint32_t kHelloMagic = 0xc1a9da60;
 constexpr size_t kFrameHeader = 4;
 constexpr size_t kMaxFrame = 64u << 20;  // 64 MiB sanity bound.
 constexpr size_t kReadChunk = 64u << 10;  // Bytes of tail room per read().
-// Per-peer outbound queue bound (bytes); a frame that would exceed it is
-// dropped (newest-dropped, keeping the stream frame-aligned) and counted.
+// Per-peer outbox bound (bytes); a frame that would exceed it is dropped
+// (newest-dropped, so a partly written frame is never touched) and counted.
 constexpr size_t kMaxOutQueueBytes = 64u << 20;
 // Relative jitter (±) on the redial backoff.
 constexpr double kDialJitter = 0.2;
@@ -47,8 +47,7 @@ void SetNoDelay(int fd) {
 
 }  // namespace
 
-TcpRuntime::OutFrame TcpRuntime::MakeFrame(MsgType type, std::shared_ptr<const Bytes> payload,
-                                           bool control) {
+TcpRuntime::OutFrame TcpRuntime::MakeFrame(MsgType type, std::shared_ptr<const Bytes> payload) {
   OutFrame f;
   const uint32_t len = static_cast<uint32_t>(2 + payload->size());
   for (int i = 0; i < 4; ++i) {
@@ -57,24 +56,14 @@ TcpRuntime::OutFrame TcpRuntime::MakeFrame(MsgType type, std::shared_ptr<const B
   f.header[4] = static_cast<uint8_t>(type);
   f.header[5] = static_cast<uint8_t>(type >> 8);
   f.payload = std::move(payload);
-  f.control = control;
   return f;
-}
-
-TcpRuntime::OutFrame TcpRuntime::EncodeHello(NodeId id) {
-  return MakeFrame(0xffff, EncodeToShared([id](Writer& w) {
-                     w.U32(kHelloMagic);
-                     w.U32(id);
-                   }),
-                   /*control=*/true);
 }
 
 TcpRuntime::TcpRuntime(TcpConfig config, MessageHandler* handler)
     : config_(std::move(config)), handler_(handler) {
   CLANDAG_CHECK(config_.num_nodes > 0 && config_.id < config_.num_nodes);
   outbound_fd_.assign(config_.num_nodes, -1);
-  preconnect_buf_.resize(config_.num_nodes);
-  preconnect_bytes_.assign(config_.num_nodes, 0);
+  outbox_.resize(config_.num_nodes);
   peer_failures_ = std::make_unique<std::atomic<uint32_t>[]>(config_.num_nodes);
   peer_connected_ = std::make_unique<std::atomic<bool>[]>(config_.num_nodes);
   rng_ = DetRng(config_.seed ^ ((config_.id + 1) * 0x9e3779b97f4a7c15ULL));
@@ -148,11 +137,12 @@ void TcpRuntime::Stop() {
   }
   conns_.clear();
   outbound_fd_.assign(config_.num_nodes, -1);
-  loop_role_.Release();
-  connected_peers_.store(0);
   for (NodeId peer = 0; peer < config_.num_nodes; ++peer) {
+    ResetOutbox(peer);
     peer_connected_[peer].store(false, std::memory_order_relaxed);
   }
+  loop_role_.Release();
+  connected_peers_.store(0);
   if (listen_fd_ >= 0) {
     close(listen_fd_);
     listen_fd_ = -1;
@@ -247,51 +237,34 @@ void TcpRuntime::RouteFrame(NodeId to, OutFrame frame) {
   n_sends_.fetch_add(1, std::memory_order_relaxed);
   const int fd = outbound_fd_[to];
   auto it = fd >= 0 ? conns_.find(fd) : conns_.end();
-  if (it == conns_.end() || !it->second->connected) {
-    // No established connection (mesh still forming, or the link is down
-    // mid-partition): hold the frame instead of silently dropping it.
-    BufferPreconnect(to, std::move(frame));
+  const bool up = it != conns_.end() && it->second->connected;
+  Outbox& box = outbox_[to];
+  if (box.bytes + frame.size() > kMaxOutQueueBytes) {
+    (up ? n_queue_dropped_ : n_preconnect_dropped_).fetch_add(1, std::memory_order_relaxed);
     return;
   }
-  if (EnqueueFrame(*it->second, std::move(frame))) {
+  box.bytes += frame.size();
+  // Capped by kMaxOutQueueBytes above; deque chunk churn is amortized
+  // across the ~10 frames each 512-byte chunk holds.
+  box.frames.push_back(std::move(frame));  // NOLINT(clandag-hotpath-alloc)
+  if (up) {
     FlushConn(*it->second);
   }
 }
 
-void TcpRuntime::BufferPreconnect(NodeId peer, OutFrame frame) {
-  n_preconnect_buffered_.fetch_add(1, std::memory_order_relaxed);
-  if (frame.size() > config_.max_preconnect_bytes) {
-    n_preconnect_dropped_.fetch_add(1, std::memory_order_relaxed);
-    return;
+void TcpRuntime::ResetOutbox(NodeId peer) {
+  Outbox& box = outbox_[peer];
+  if (box.offset > 0) {
+    box.bytes -= box.frames.front().size();
+    box.frames.pop_front();
+    box.offset = 0;
+    n_partial_dropped_.fetch_add(1, std::memory_order_relaxed);
   }
-  std::deque<OutFrame>& buf = preconnect_buf_[peer];
-  size_t& bytes = preconnect_bytes_[peer];
-  bytes += frame.size();
-  buf.push_back(std::move(frame));
-  while (bytes > config_.max_preconnect_bytes) {
-    bytes -= buf.front().size();
-    buf.pop_front();
-    n_preconnect_dropped_.fetch_add(1, std::memory_order_relaxed);
-  }
-}
-
-bool TcpRuntime::EnqueueFrame(Conn& conn, OutFrame frame) {
-  if (conn.out_bytes + frame.size() > kMaxOutQueueBytes) {
-    n_queue_dropped_.fetch_add(1, std::memory_order_relaxed);
-    return false;
-  }
-  conn.out_bytes += frame.size();
-  // Capped by kMaxOutQueueBytes above; deque chunk churn is amortized
-  // across the ~10 frames each 512-byte chunk holds.
-  conn.out_queue.push_back(std::move(frame));  // NOLINT(clandag-hotpath-alloc)
-  return true;
 }
 
 TransportStats TcpRuntime::Stats() const {
   TransportStats s;
   s.sends = n_sends_.load(std::memory_order_relaxed);
-  s.preconnect_buffered = n_preconnect_buffered_.load(std::memory_order_relaxed);
-  s.preconnect_flushed = n_preconnect_flushed_.load(std::memory_order_relaxed);
   s.preconnect_dropped = n_preconnect_dropped_.load(std::memory_order_relaxed);
   s.queue_dropped = n_queue_dropped_.load(std::memory_order_relaxed);
   s.partial_dropped = n_partial_dropped_.load(std::memory_order_relaxed);
@@ -351,23 +324,24 @@ void TcpRuntime::ScheduleRedial(NodeId peer) {
   });
 }
 
-void TcpRuntime::OnOutboundEstablished(Conn& conn) {
+bool TcpRuntime::OnOutboundEstablished(Conn& conn) {
+  // Hello frame: length, type 0xffff, magic, dialler id. A new socket's send
+  // buffer is empty, so a short write means the connection is already dead.
+  Writer hello;
+  hello.U32(2 + 8);
+  hello.U16(0xffff);
+  hello.U32(kHelloMagic);
+  hello.U32(config_.id);
+  const Bytes& bytes = hello.Buffer();
+  if (send(conn.fd, bytes.data(), bytes.size(), MSG_NOSIGNAL) !=
+      static_cast<ssize_t>(bytes.size())) {
+    return false;
+  }
   conn.connected = true;
-  conn.out_queue.push_front(EncodeHello(config_.id));
-  conn.out_bytes += conn.out_queue.front().size();
   connected_peers_.fetch_add(1);
   peer_failures_[conn.peer].store(0, std::memory_order_relaxed);
   peer_connected_[conn.peer].store(true, std::memory_order_relaxed);
-  // Release everything buffered while the link was down. A frame evicted
-  // here by the queue bound is counted in queue_dropped.
-  std::deque<OutFrame>& buf = preconnect_buf_[conn.peer];
-  while (!buf.empty()) {
-    OutFrame frame = std::move(buf.front());
-    buf.pop_front();
-    preconnect_bytes_[conn.peer] -= frame.size();
-    n_preconnect_flushed_.fetch_add(1, std::memory_order_relaxed);
-    EnqueueFrame(conn, std::move(frame));
-  }
+  return true;
 }
 
 void TcpRuntime::DialPeer(NodeId peer) {
@@ -399,9 +373,6 @@ void TcpRuntime::DialPeer(NodeId peer) {
   conn->in_buf = BufferPool::Global().Acquire();
   conn->payload_scratch = BufferPool::Global().Acquire();
   outbound_fd_[peer] = fd;
-  if (rc == 0) {
-    OnOutboundEstablished(*conn);
-  }
   epoll_event ev{};
   ev.events = EPOLLIN | EPOLLOUT;
   ev.data.fd = fd;
@@ -512,20 +483,18 @@ void TcpRuntime::HandleReadable(Conn& conn) {
 }
 
 void TcpRuntime::FlushConn(Conn& conn) {
-  if (!conn.connected) {
-    return;
-  }
-  // Headers and payloads are scattered straight from the queue with
+  // Headers and payloads are scattered straight from the outbox with
   // sendmsg(): no per-peer frame assembly, and up to kGatherFrames frames
-  // go out per syscall. `out_offset` is the byte offset into the *front*
+  // go out per syscall. `box.offset` is the byte offset into the *front*
   // frame (header + payload) already written.
   constexpr size_t kGatherFrames = 32;
-  while (!conn.out_queue.empty()) {
+  Outbox& box = outbox_[conn.peer];
+  while (!box.frames.empty()) {
     iovec iov[kGatherFrames * 2];
     size_t niov = 0;
     size_t gathered = 0;
-    size_t skip = conn.out_offset;  // Only the front frame is partially sent.
-    for (const OutFrame& f : conn.out_queue) {
+    size_t skip = box.offset;  // Only the front frame is partially sent.
+    for (const OutFrame& f : box.frames) {
       if (niov + 2 > kGatherFrames * 2) {
         break;
       }
@@ -561,11 +530,11 @@ void TcpRuntime::FlushConn(Conn& conn) {
       CloseConn(conn.fd);
       return;
     }
-    conn.out_offset += static_cast<size_t>(n);
-    while (!conn.out_queue.empty() && conn.out_offset >= conn.out_queue.front().size()) {
-      conn.out_offset -= conn.out_queue.front().size();
-      conn.out_bytes -= conn.out_queue.front().size();
-      conn.out_queue.pop_front();
+    box.offset += static_cast<size_t>(n);
+    while (!box.frames.empty() && box.offset >= box.frames.front().size()) {
+      box.offset -= box.frames.front().size();
+      box.bytes -= box.frames.front().size();
+      box.frames.pop_front();
     }
     if (static_cast<size_t>(n) < gathered) {
       // Short write: the socket buffer is full, so the next sendmsg() would
@@ -581,12 +550,11 @@ void TcpRuntime::HandleWritable(Conn& conn) {
     int err = 0;
     socklen_t len = sizeof(err);
     getsockopt(conn.fd, SOL_SOCKET, SO_ERROR, &err, &len);
-    if (err != 0) {
+    if (err != 0 || !OnOutboundEstablished(conn)) {
       // CloseConn counts the dial failure and schedules the backed-off redial.
       CloseConn(conn.fd);
       return;
     }
-    OnOutboundEstablished(conn);
   }
   FlushConn(conn);
 }
@@ -594,7 +562,7 @@ void TcpRuntime::HandleWritable(Conn& conn) {
 void TcpRuntime::UpdateEpoll(Conn& conn) {
   epoll_event ev{};
   ev.events = EPOLLIN;
-  if (!conn.out_queue.empty() || (conn.outbound && !conn.connected)) {
+  if (!outbox_[conn.peer].frames.empty()) {
     ev.events |= EPOLLOUT;
   }
   ev.data.fd = conn.fd;
@@ -620,24 +588,7 @@ void TcpRuntime::CloseConn(int fd) {
       n_dial_failures_.fetch_add(1, std::memory_order_relaxed);
       peer_failures_[conn.peer].fetch_add(1, std::memory_order_relaxed);
     }
-    // Salvage queued payload frames back into the pre-connect buffer so a
-    // reconnect re-sends them (duplicates are fine; RBC is idempotent). The
-    // half-written front frame cannot go onto a fresh stream without
-    // corrupting framing, so it is dropped — but counted, never silent.
-    bool first = true;
-    for (OutFrame& f : conn.out_queue) {
-      const bool partial = first && conn.out_offset > 0;
-      first = false;
-      if (partial) {
-        if (!f.control) {
-          n_partial_dropped_.fetch_add(1, std::memory_order_relaxed);
-        }
-        continue;
-      }
-      if (!f.control) {
-        BufferPreconnect(conn.peer, std::move(f));
-      }
-    }
+    ResetOutbox(conn.peer);
     if (running_.load()) {
       ScheduleRedial(conn.peer);
     }

@@ -61,11 +61,6 @@ struct TcpConfig {
   // Seed for the (deterministic) jitter RNG; mixed with the node id so every
   // node jitters differently from the same config.
   uint64_t seed = 1;
-  // Bytes of frames buffered per peer while no outbound connection is
-  // established (consensus starts before the full mesh is up, and links drop
-  // during partitions). Oldest frames are evicted on overflow — newer
-  // consensus state supersedes older — and every eviction is counted.
-  size_t max_preconnect_bytes = 4u << 20;
 };
 
 class TcpRuntime final : public Runtime {
@@ -78,9 +73,10 @@ class TcpRuntime final : public Runtime {
 
   // Binds and starts the loop thread; dials peers in the background.
   CLANDAG_COLD void Start();
-  // Joins the loop thread and closes all connections. Safe to call
-  // concurrently with Send()/Post()/Schedule() from other threads: late
-  // commands are enqueued but never executed. Idempotent.
+  // Joins the loop thread and closes all connections. Each outbox is reset
+  // as for a dead connection and keeps its other frames for the next
+  // Start(). Safe to call concurrently with Send()/Post()/Schedule() from
+  // other threads: late commands are enqueued but never executed. Idempotent.
   CLANDAG_COLD void Stop();
 
   // Blocks until outbound connections to all peers are established (returns
@@ -108,7 +104,7 @@ class TcpRuntime final : public Runtime {
   CLANDAG_HOT void Send(NodeId to, MsgType type, std::shared_ptr<const Bytes> payload,
                         size_t wire_size) override;
   // Single-serialize fan-out: one loop-thread hop encodes one frame header
-  // and appends the same shared payload to every target's out-queue (the
+  // and appends the same shared payload to every target's outbox (the
   // default base implementations would Post one command per target and the
   // old transport additionally copied payload bytes into a frame per peer).
   CLANDAG_HOT void Multicast(const std::vector<NodeId>& targets, MsgType type,
@@ -127,9 +123,17 @@ class TcpRuntime final : public Runtime {
   struct OutFrame {
     std::array<uint8_t, kHeaderBytes> header{};
     std::shared_ptr<const Bytes> payload;
-    bool control = false;  // Hello frame: never salvaged across reconnects.
 
     size_t size() const { return kHeaderBytes + payload->size(); }
+  };
+
+  // Frames queued for one peer's outbound byte stream. It outlives
+  // connections: frames queue here whether or not the link is up, and a
+  // connection that dies loses only the frame it had partly written.
+  struct Outbox {
+    std::deque<OutFrame> frames;
+    size_t bytes = 0;   // Sum of queued frame sizes (bound enforcement).
+    size_t offset = 0;  // Bytes of frames.front() already written.
   };
 
   struct Conn {
@@ -145,9 +149,6 @@ class TcpRuntime final : public Runtime {
     // path therefore allocates nothing (DESIGN.md §15).
     PooledBytes in_buf;
     PooledBytes payload_scratch;
-    std::deque<OutFrame> out_queue;
-    size_t out_bytes = 0;   // Sum of queued frame sizes (bound enforcement).
-    size_t out_offset = 0;  // Bytes of out_queue.front() already written.
   };
 
   struct Timer {
@@ -159,10 +160,7 @@ class TcpRuntime final : public Runtime {
     }
   };
 
-  CLANDAG_HOT static OutFrame MakeFrame(MsgType type, std::shared_ptr<const Bytes> payload,
-                                        bool control = false);
-  // cold: one hello per connection establishment.
-  CLANDAG_COLD static OutFrame EncodeHello(NodeId id);
+  CLANDAG_HOT static OutFrame MakeFrame(MsgType type, std::shared_ptr<const Bytes> payload);
 
   CLANDAG_HOT void Loop() CLANDAG_REQUIRES(loop_role_);
   CLANDAG_COLD void StartListen();
@@ -171,19 +169,18 @@ class TcpRuntime final : public Runtime {
   // Backoff delay for the next dial to `peer` (doubling, capped, jittered).
   CLANDAG_COLD TimeMicros DialBackoff(NodeId peer) CLANDAG_REQUIRES(loop_role_);
   CLANDAG_COLD void ScheduleRedial(NodeId peer) CLANDAG_REQUIRES(loop_role_);
-  // Connect() finished on an outbound conn: send hello, flush the peer's
-  // pre-connect buffer, reset its failure streak. cold: once per link.
-  CLANDAG_COLD void OnOutboundEstablished(Conn& conn) CLANDAG_REQUIRES(loop_role_);
-  // Appends `frame` to the peer's pre-connect buffer, evicting oldest frames
-  // to stay under max_preconnect_bytes. cold: runs only while the peer link
-  // is down (mesh formation, partitions).
-  CLANDAG_COLD void BufferPreconnect(NodeId peer, OutFrame frame) CLANDAG_REQUIRES(loop_role_);
-  // Appends a payload frame to an established conn, enforcing the per-peer
-  // out-queue bound kMaxOutQueueBytes (false = dropped and counted).
-  CLANDAG_HOT bool EnqueueFrame(Conn& conn, OutFrame frame) CLANDAG_REQUIRES(loop_role_);
-  // Routes one frame towards `to`: out-queue of the established connection,
-  // or the pre-connect buffer while the link is down.
+  // Connect() finished on an outbound conn: write the hello straight onto
+  // the socket, mark the link up and reset its failure streak. False when
+  // the hello did not go out whole: the caller closes the conn like a failed
+  // dial. cold: once per link.
+  CLANDAG_COLD bool OnOutboundEstablished(Conn& conn) CLANDAG_REQUIRES(loop_role_);
+  // Appends one frame to `to`'s outbox, dropping it (newest-dropped, counted)
+  // if the outbox would pass kMaxOutQueueBytes, and flushes an up link.
   CLANDAG_HOT void RouteFrame(NodeId to, OutFrame frame) CLANDAG_REQUIRES(loop_role_);
+  // Drops the frame `peer`'s last connection had partly written (it cannot
+  // start a fresh stream without corrupting framing) and counts it; every
+  // frame behind it waits for the next connection. cold: connection teardown.
+  CLANDAG_COLD void ResetOutbox(NodeId peer) CLANDAG_REQUIRES(loop_role_);
   // cold: once per inbound connection.
   CLANDAG_COLD void HandleAccept() CLANDAG_REQUIRES(loop_role_);
   CLANDAG_HOT void HandleReadable(Conn& conn) CLANDAG_REQUIRES(loop_role_);
@@ -213,9 +210,8 @@ class TcpRuntime final : public Runtime {
   std::map<int, std::unique_ptr<Conn>> conns_ CLANDAG_GUARDED_BY(loop_role_);
   // Peer id -> fd (-1 if down).
   std::vector<int> outbound_fd_ CLANDAG_GUARDED_BY(loop_role_);
-  // Frames awaiting an outbound connection, per peer, with their byte total.
-  std::vector<std::deque<OutFrame>> preconnect_buf_ CLANDAG_GUARDED_BY(loop_role_);
-  std::vector<size_t> preconnect_bytes_ CLANDAG_GUARDED_BY(loop_role_);
+  // Peer id -> its outbox; kept across Stop()/Start().
+  std::vector<Outbox> outbox_ CLANDAG_GUARDED_BY(loop_role_);
   DetRng rng_ CLANDAG_GUARDED_BY(loop_role_){1};
   std::priority_queue<Timer, std::vector<Timer>, std::greater<Timer>> timers_
       CLANDAG_GUARDED_BY(loop_role_);
@@ -236,8 +232,6 @@ class TcpRuntime final : public Runtime {
 
   // TransportStats counters. Written by the loop thread, read anywhere.
   std::atomic<uint64_t> n_sends_{0};
-  std::atomic<uint64_t> n_preconnect_buffered_{0};
-  std::atomic<uint64_t> n_preconnect_flushed_{0};
   std::atomic<uint64_t> n_preconnect_dropped_{0};
   std::atomic<uint64_t> n_queue_dropped_{0};
   std::atomic<uint64_t> n_partial_dropped_{0};

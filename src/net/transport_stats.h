@@ -1,14 +1,9 @@
 // Counters exposed by real transports (currently TcpRuntime).
 //
-// All counters are cumulative since Start(). The pre-connect buffer obeys a
-// conservation law the TCP chaos tests assert after every partition-and-heal
-// cycle:
-//
-//   preconnect_buffered == preconnect_flushed + preconnect_dropped
-//                          + <frames still buffered>
-//
-// so no frame handed to Send() before the peer connection existed can vanish
-// without being counted.
+// All counters are cumulative over the runtime's lifetime. Each peer has
+// one outbox, and the counters obey a conservation law the TCP chaos tests
+// assert across partitions and restarts: every frame routed to a peer
+// (`sends`) is written to its socket, counted as dropped, or still queued.
 //
 // Threading: snapshot of atomics; any thread may read it.
 
@@ -20,20 +15,14 @@
 namespace clandag {
 
 struct TransportStats {
-  // Send() calls targeting a remote peer (loopback excluded).
+  // Frames routed to a remote peer (loopback excluded).
   uint64_t sends = 0;
-  // Frames held because the peer had no established connection. Includes
-  // frames salvaged from a connection that died before writing them.
-  uint64_t preconnect_buffered = 0;
-  // Buffered frames moved onto a freshly established connection.
-  uint64_t preconnect_flushed = 0;
-  // Buffered frames evicted (oldest-first) by the max_preconnect_bytes bound.
+  // Frames rejected because the peer's outbox would pass kMaxOutQueueBytes
+  // (newest-dropped): while its link was down, and while it was up.
   uint64_t preconnect_dropped = 0;
-  // Frames rejected because the peer's outbound queue hit
-  // kMaxOutQueueBytes (newest-dropped so the stream stays frame-aligned).
   uint64_t queue_dropped = 0;
-  // Frames lost half-written when their connection died (cannot be resent on
-  // a new stream without corrupting framing).
+  // Frames lost half-written when their connection died or Stop() closed it
+  // (cannot be resent on a new stream without corrupting framing).
   uint64_t partial_dropped = 0;
   uint64_t dial_attempts = 0;
   uint64_t dial_failures = 0;

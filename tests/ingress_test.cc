@@ -144,7 +144,6 @@ TEST(Dedup, IdleClientsEvictedUnderPressure) {
   EXPECT_EQ(dedup.Check(3, 0, Seconds(1)), DedupVerdict::kFresh);
   dedup.Record(3, 0, Seconds(1));
   EXPECT_LE(dedup.TrackedClients(), 2u);
-  EXPECT_GE(dedup.stats().clients_evicted, 1u);
 }
 
 // ---- Admission ----

@@ -47,7 +47,7 @@ TEST(SctTransport, SendersRaceLoopThenStopThenRestart) {
       [] {
         TcpConfig cfg;
         cfg.id = 0;
-        cfg.num_nodes = 2;  // Peer 1 never comes up: preconnect-buffer path.
+        cfg.num_nodes = 2;  // Peer 1 never comes up: frames wait in its outbox.
         cfg.base_port = kSctBasePort;
         CountingHandler handler;
         auto payload = std::make_shared<const Bytes>(Bytes{1, 2, 3});

@@ -1,11 +1,15 @@
-// TCP transport hardening tests: the pre-connect buffer (no silent loss to
-// peers that are not up yet), partition-and-heal with counter reconciliation,
-// dial backoff with peer-health tracking, and — the chaos satellite — the
-// Byzantine behaviour suite running over real sockets with the safety oracle
-// watching every honest node.
+// TCP transport hardening tests: the per-peer outbox (no silent loss to
+// peers that are not up yet, across partitions or across Stop()/Start()),
+// partition-and-heal with counter reconciliation, dial backoff with
+// peer-health tracking, and — the chaos satellite — the Byzantine behaviour
+// suite running over real sockets with the safety oracle watching every
+// honest node.
 
 #include <gtest/gtest.h>
 
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <atomic>
@@ -40,11 +44,33 @@ struct CountingHandler : MessageHandler {
     return cv.wait_for(lock, std::chrono::milliseconds(timeout_ms),
                        [&] { return received.size() >= count; });
   }
+
+  size_t Count() {
+    std::lock_guard<std::mutex> lock(mu);
+    return received.size();
+  }
 };
 
+uint64_t Dropped(const TransportStats& s) {
+  return s.preconnect_dropped + s.queue_dropped + s.partial_dropped;
+}
+
+// Sends are routed on the loop thread: wait until it has routed `count`.
+bool WaitForSends(const TcpRuntime& node, uint64_t count) {
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (node.Stats().sends < count) {
+    if (std::chrono::steady_clock::now() > deadline) {
+      return false;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  return true;
+}
+
 uint16_t PickBasePort(int salt) {
-  // Distinct from transport_test.cc's 21000 range.
-  return static_cast<uint16_t>(24000 + salt * 64 + (getpid() % 50) * 8);
+  // As in transport_test.cc, but a 32-port block per process with four
+  // ports per salt (0..7), above its range and the SCT suite's 24150-24160.
+  return static_cast<uint16_t>(24200 + (getpid() % 40) * 32 + salt * 4);
 }
 
 TcpConfig MakeConfig(NodeId id, uint32_t n, uint16_t base_port) {
@@ -57,8 +83,8 @@ TcpConfig MakeConfig(NodeId id, uint32_t n, uint16_t base_port) {
   return config;
 }
 
-// Sends issued before the peer ever came up must be buffered and flushed on
-// connect, not silently dropped (the seed transport dropped them).
+// Sends issued before the peer ever came up must wait in its outbox and go
+// out on connect, not be silently dropped (the seed transport dropped them).
 TEST(TcpHardening, PreConnectSendsFlushOnFirstConnect) {
   constexpr int kMsgs = 25;
   const uint16_t base_port = PickBasePort(0);
@@ -73,8 +99,8 @@ TEST(TcpHardening, PreConnectSendsFlushOnFirstConnect) {
   std::this_thread::sleep_for(std::chrono::milliseconds(100));
   {
     const TransportStats s = node0.Stats();
-    EXPECT_EQ(s.preconnect_buffered, static_cast<uint64_t>(kMsgs));
-    EXPECT_EQ(s.preconnect_flushed, 0u);
+    EXPECT_EQ(s.sends, static_cast<uint64_t>(kMsgs));
+    EXPECT_EQ(Dropped(s), 0u);
     EXPECT_GT(s.dial_failures, 0u);  // It has been retrying.
   }
   EXPECT_GT(node0.HealthOf(1).consecutive_failures, 0u);
@@ -85,10 +111,11 @@ TEST(TcpHardening, PreConnectSendsFlushOnFirstConnect) {
   ASSERT_TRUE(node0.WaitConnected(Seconds(10)));
   EXPECT_TRUE(handlers[1].WaitForCount(kMsgs));
 
+  // Conservation: every routed frame was delivered; none was dropped.
   const TransportStats s = node0.Stats();
-  EXPECT_EQ(s.preconnect_buffered, static_cast<uint64_t>(kMsgs));
-  EXPECT_EQ(s.preconnect_flushed, static_cast<uint64_t>(kMsgs));
-  EXPECT_EQ(s.preconnect_dropped, 0u);
+  EXPECT_EQ(s.sends, static_cast<uint64_t>(kMsgs));
+  EXPECT_EQ(Dropped(s), 0u);
+  EXPECT_EQ(handlers[1].Count(), static_cast<size_t>(kMsgs));
   EXPECT_TRUE(node0.HealthOf(1).connected);
   EXPECT_EQ(node0.HealthOf(1).consecutive_failures, 0u);
   node0.Stop();
@@ -131,36 +158,126 @@ TEST(TcpHardening, PartitionHealReconcilesCounters) {
   node1->Start();
   ASSERT_TRUE(node0.WaitConnected(Seconds(10)));
 
+  ASSERT_TRUE(WaitForSends(node0, 1 + kDownSends));
   const TransportStats s = node0.Stats();
-  const uint64_t dropped = s.preconnect_dropped + s.queue_dropped + s.partial_dropped;
-  // Everything buffered during the partition that was not dropped arrives.
-  const size_t expect_delivered = static_cast<size_t>(kDownSends) - dropped;
+  // Everything queued during the partition that was not dropped arrives.
+  const size_t expect_delivered = static_cast<size_t>(kDownSends) - Dropped(s);
   EXPECT_TRUE(h1b.WaitForCount(expect_delivered));
-  // Conservation: nothing vanished without a counter.
-  EXPECT_EQ(s.preconnect_buffered, s.preconnect_flushed + s.preconnect_dropped);
+  // Conservation: every routed frame was delivered or counted as dropped.
+  EXPECT_EQ(s.sends, h1a.Count() + h1b.Count() + Dropped(s));
   node0.Stop();
   node1->Stop();
 }
 
-// The pre-connect buffer is bounded: oldest frames are evicted and counted.
-TEST(TcpHardening, PreConnectBufferBoundedOldestEvicted) {
+// The outbox is bounded whether or not the link is up: a frame that would
+// take it past 64 MiB is dropped (newest-dropped) and counted, and the kept
+// frames go out in order once the peer starts.
+TEST(TcpHardening, OutboxBoundedNewestDropped) {
+  constexpr uint64_t kFrames = 80;
   const uint16_t base_port = PickBasePort(2);
-  CountingHandler handler;
-  TcpConfig config = MakeConfig(0, 2, base_port);
-  config.max_preconnect_bytes = 512;  // A handful of frames.
-  TcpRuntime node0(config, &handler);
+  CountingHandler handlers[2];
+  TcpRuntime node0(MakeConfig(0, 2, base_port), &handlers[0]);
   node0.Start();
-  for (int i = 0; i < 100; ++i) {
-    node0.Send(1, 7, Bytes(64, 0xaa));
+  const auto payload = std::make_shared<const Bytes>(1u << 20, 0xaa);
+  for (uint64_t i = 0; i < kFrames; ++i) {
+    node0.Send(1, static_cast<MsgType>(i), payload, payload->size());
   }
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  ASSERT_TRUE(WaitForSends(node0, kFrames));
   const TransportStats s = node0.Stats();
-  EXPECT_EQ(s.preconnect_buffered, 100u);
   EXPECT_GT(s.preconnect_dropped, 0u);
-  // Still-buffered remainder fits the bound.
-  const uint64_t remaining = s.preconnect_buffered - s.preconnect_flushed - s.preconnect_dropped;
-  EXPECT_LE(remaining * 64, 512u + 64u);
+  EXPECT_EQ(s.queue_dropped + s.partial_dropped, 0u);
+  const uint64_t kept = kFrames - s.preconnect_dropped;
+  EXPECT_LE(kept * payload->size(), uint64_t{64} << 20);
+
+  TcpRuntime node1(MakeConfig(1, 2, base_port), &handlers[1]);
+  node1.Start();
+  EXPECT_TRUE(handlers[1].WaitForCount(kept));
+  {
+    std::lock_guard<std::mutex> lock(handlers[1].mu);
+    ASSERT_EQ(handlers[1].received.size(), kept);
+    for (uint64_t i = 0; i < kept; ++i) {
+      EXPECT_EQ(handlers[1].received[i].second, static_cast<MsgType>(i));
+    }
+  }
   node0.Stop();
+  node1.Stop();
+}
+
+// A peer that accepts connections and never reads: its 64 KiB receive
+// buffer fills, then the dialler's send buffer, and the rest of the
+// dialler's frames stay queued. SO_RCVBUF is set before listen() so the
+// accepted socket inherits it.
+int ListenSilently(uint16_t port) {
+  const int fd = socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+  const int one = 1;
+  const int rcvbuf = 64 << 10;
+  setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
+  setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &rcvbuf, sizeof(rcvbuf));
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(port);
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  if (bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0 || listen(fd, 1) != 0) {
+    close(fd);
+    return -1;
+  }
+  return fd;
+}
+
+// Stop() resets each outbox as a dead connection does: only the frame it
+// had partly written is lost, and counted; every frame behind it goes out
+// after the next Start().
+TEST(TcpHardening, StopKeepsQueuedFramesForRestart) {
+  constexpr uint64_t kFrames = 24;
+  constexpr size_t kHelloBytes = 14;
+  const uint16_t base_port = PickBasePort(7);
+  const int listener = ListenSilently(static_cast<uint16_t>(base_port + 1));
+  ASSERT_GE(listener, 0);
+  CountingHandler h0;
+  TcpRuntime node0(MakeConfig(0, 2, base_port), &h0);
+  node0.Start();
+  ASSERT_TRUE(node0.WaitConnected(Seconds(10)));
+  const int silent = accept(listener, nullptr, nullptr);
+  ASSERT_GE(silent, 0);
+  const auto payload = std::make_shared<const Bytes>(1u << 20, 0x5a);
+  for (uint64_t i = 0; i < kFrames; ++i) {
+    node0.Send(1, 7, payload, payload->size());
+  }
+  ASSERT_TRUE(WaitForSends(node0, kFrames));
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  node0.Stop();
+  const TransportStats stopped = node0.Stats();
+
+  // The silent peer still gets every byte node 0's kernel accepted, then EOF.
+  const timeval timeout{5, 0};
+  setsockopt(silent, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
+  size_t bytes = 0;
+  std::vector<uint8_t> buf(64 << 10);
+  ssize_t n = 0;
+  while ((n = recv(silent, buf.data(), buf.size(), 0)) > 0) {
+    bytes += static_cast<size_t>(n);
+  }
+  EXPECT_EQ(n, 0) << "no EOF from the stopped node";
+  close(silent);
+  close(listener);
+  ASSERT_GE(bytes, kHelloBytes);
+  const uint64_t at_silent = (bytes - kHelloBytes) / (6 + payload->size());
+  ASSERT_LE(at_silent + Dropped(stopped), kFrames);
+
+  // Restart against a real peer on the silent peer's address.
+  CountingHandler h1;
+  TcpRuntime node1(MakeConfig(1, 2, base_port), &h1);
+  node1.Start();
+  node0.Start();
+  ASSERT_TRUE(node0.WaitConnected(Seconds(10)));
+  EXPECT_TRUE(h1.WaitForCount(kFrames - at_silent - Dropped(stopped)));
+  const uint64_t delivered = h1.Count();
+  const uint64_t dropped = Dropped(node0.Stats());
+  EXPECT_EQ(at_silent + delivered + dropped, kFrames)
+      << at_silent << " at the silent peer, " << delivered << " delivered, " << dropped
+      << " dropped";
+  node0.Stop();
+  node1.Stop();
 }
 
 // Dial retries back off exponentially: over one second against a dead peer,

@@ -38,8 +38,10 @@ struct CountingHandler : MessageHandler {
 };
 
 uint16_t PickBasePort(int salt) {
-  // Per-test port ranges to avoid collisions across tests in one run.
-  return static_cast<uint16_t>(21000 + salt * 64 + (getpid() % 50) * 8);
+  // ctest runs each test in its own process, several at once. The pid picks
+  // a 64-port block per process and the salt (0..15) four ports inside it,
+  // so two tests running at once never share a port (21000..23559).
+  return static_cast<uint16_t>(21000 + (getpid() % 40) * 64 + salt * 4);
 }
 
 // One TcpRuntime per node, listening on consecutive ports from `base_port`
