@@ -61,20 +61,20 @@ SignerBitmap SignerBitmap::Parse(Reader& r) {
   return b;
 }
 
+void MultiSig::Fold(Sha256::DigestBytes& aggregate, const Sha256::DigestBytes& part) {
+  for (size_t i = 0; i < aggregate.size(); ++i) {
+    aggregate[i] ^= part[i];
+  }
+}
+
 MultiSig MultiSig::Aggregate(const SignerBitmap& signers, const std::vector<Signature>& parts) {
   CLANDAG_CHECK(signers.Count() == parts.size());
   Sha256::DigestBytes agg;
   agg.fill(0);
   for (const Signature& sig : parts) {
-    const auto& mac = sig.mac.bytes();
-    for (size_t i = 0; i < agg.size(); ++i) {
-      agg[i] ^= mac[i];
-    }
+    Fold(agg, sig.mac.bytes());
   }
-  MultiSig out;
-  out.signers_ = signers;
-  out.aggregate_ = Digest(agg);
-  return out;
+  return MultiSig(signers, Digest(agg));
 }
 
 bool MultiSig::Verify(const Keychain& keychain, const Bytes& message) const {
@@ -84,10 +84,7 @@ bool MultiSig::Verify(const Keychain& keychain, const Bytes& message) const {
     if (id >= keychain.num_parties()) {
       return false;
     }
-    Sha256::DigestBytes mac = HmacSha256(keychain.KeyOf(id), message);
-    for (size_t i = 0; i < expected.size(); ++i) {
-      expected[i] ^= mac[i];
-    }
+    Fold(expected, HmacSha256(keychain.KeyOf(id), message));
   }
   return Digest(expected) == aggregate_;
 }

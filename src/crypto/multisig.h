@@ -70,6 +70,15 @@ class SignerBitmap {
 class MultiSig {
  public:
   MultiSig() = default;
+  // A certificate from an aggregate already folded (see Fold) over exactly
+  // the parties in `signers`.
+  MultiSig(const SignerBitmap& signers, const Digest& aggregate)
+      : signers_(signers), aggregate_(aggregate) {}
+
+  // Folds one authenticator into a running aggregate. XOR is commutative,
+  // so parts may arrive in any order: folding votes as they land equals
+  // Aggregate over the same votes in id order, byte for byte.
+  static void Fold(Sha256::DigestBytes& aggregate, const Sha256::DigestBytes& part);
 
   // Aggregates individual signatures. `parts` must align with `signers.Ids()`.
   static MultiSig Aggregate(const SignerBitmap& signers, const std::vector<Signature>& parts);

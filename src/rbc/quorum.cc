@@ -1,6 +1,6 @@
 #include "rbc/quorum.h"
 
-#include <algorithm>
+#include "common/check.h"
 
 namespace clandag {
 
@@ -13,11 +13,8 @@ bool VoteTracker::Add(NodeId voter, bool in_clan, std::optional<Signature> sig) 
     ++clan_count_;
   }
   if (sig.has_value()) {
-    if (sigs_.empty()) {
-      sigs_.reserve(voters_.num_parties());
-    }
-    // capped at num_parties: the voters_ bitmap above dedups voters before this append.
-    sigs_.emplace_back(voter, *sig);
+    ++signed_count_;
+    MultiSig::Fold(aggregate_, sig->mac.bytes());
   }
   return true;
 }
@@ -33,19 +30,8 @@ std::vector<NodeId> VoteTracker::ClanVoters(const std::vector<NodeId>& clan) con
 }
 
 MultiSig VoteTracker::BuildCert() const {
-  // MultiSig::Aggregate wants parts aligned with signers.Ids() (id order);
-  // votes arrive in network order, so sort a copy.
-  std::vector<std::pair<NodeId, Signature>> sorted = sigs_;
-  std::sort(sorted.begin(), sorted.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  SignerBitmap signers(voters_.num_parties());
-  std::vector<Signature> parts;
-  parts.reserve(sorted.size());
-  for (const auto& [id, sig] : sorted) {
-    signers.Set(id);
-    parts.push_back(sig);
-  }
-  return MultiSig::Aggregate(signers, parts);
+  CLANDAG_CHECK(signed_count_ == voters_.Count());
+  return MultiSig(voters_, Digest(aggregate_));
 }
 
 }  // namespace clandag

@@ -4,7 +4,6 @@
 #define CLANDAG_RBC_QUORUM_H_
 
 #include <optional>
-#include <utility>
 #include <vector>
 
 #include "crypto/multisig.h"
@@ -12,11 +11,14 @@
 namespace clandag {
 
 // Counts distinct voters for one (instance, digest) pair, tracking how many
-// come from inside a clan and retaining signatures for certificate assembly.
+// come from inside a clan and folding signatures into a certificate as they
+// arrive.
 //
-// Signatures live in a flat append-only vector (the voter bitmap already
-// deduplicates), reserved once on the first signed vote — one allocation per
-// tracker instead of one map node per vote on the consensus hot path.
+// The certificate is the voter bitmap plus a running 32-byte aggregate
+// (MultiSig::Fold), so a tracker holds no per-vote storage and builds its
+// certificate without a copy or a sort. It lives in NodeArena slots (ArenaMap<Digest, VoteTracker>): keep
+// the node — tree header, key and this object, ~168 B — within
+// NodeArena::kSlotBytes, or every node silently falls back to the heap.
 class VoteTracker {
  public:
   explicit VoteTracker(uint32_t num_nodes) : voters_(num_nodes) {}
@@ -32,13 +34,15 @@ class VoteTracker {
   // Voters from the clan, in id order (value-holders for pulls).
   std::vector<NodeId> ClanVoters(const std::vector<NodeId>& clan) const;
 
-  // Aggregates the retained signatures into a certificate.
+  // The certificate over every vote so far. Only for trackers fed signed
+  // votes: CHECKs that every voter signed.
   MultiSig BuildCert() const;
 
  private:
   SignerBitmap voters_;
   uint32_t clan_count_ = 0;
-  std::vector<std::pair<NodeId, Signature>> sigs_;  // Unsorted; BuildCert sorts.
+  uint32_t signed_count_ = 0;
+  Sha256::DigestBytes aggregate_{};  // MultiSig::Fold of every signature.
 };
 
 }  // namespace clandag

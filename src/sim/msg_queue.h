@@ -5,6 +5,11 @@
 // each slot's heap small and cache-resident while preserving exact
 // (timestamp, sequence) ordering. Events beyond the ring's horizon go to a
 // small overflow heap that is consulted alongside the ring.
+//
+// Storage follows the live entries, not the run length: a bucket's vector
+// is released when the cursor leaves it drained. A run shorter than the
+// ring's horizon uses each bucket once, so keeping drained storage would
+// only pin every bucket's high-water capacity until the queue dies.
 
 #ifndef CLANDAG_SIM_MSG_QUEUE_H_
 #define CLANDAG_SIM_MSG_QUEUE_H_
@@ -81,6 +86,16 @@ class MsgCalendarQueue {
     return out;
   }
 
+  // Bytes of entry storage held (ring buckets plus overflow). Cold: scans
+  // every bucket.
+  size_t StorageBytes() const {
+    size_t entries = overflow_.capacity();
+    for (const std::vector<MsgQueueEntry>& bucket : ring_) {
+      entries += bucket.capacity();
+    }
+    return entries * sizeof(MsgQueueEntry);
+  }
+
  private:
   static constexpr TimeMicros kBucketWidth = 1024;  // ~1 ms.
   static constexpr size_t kNumBuckets = 16384;      // ~16.7 s horizon.
@@ -95,7 +110,21 @@ class MsgCalendarQueue {
     return a.at != b.at ? a.at < b.at : a.seq < b.seq;
   }
 
+  // The overflow heap, with its container's capacity visible to
+  // StorageBytes().
+  struct OverflowHeap : std::priority_queue<MsgQueueEntry, std::vector<MsgQueueEntry>, Later> {
+    size_t capacity() const { return c.capacity(); }
+  };
+
   std::vector<MsgQueueEntry>& CurBucket() { return ring_[cur_ % kNumBuckets]; }
+
+  // Moves the cursor off its drained bucket, releasing that bucket's
+  // storage.
+  void LeaveCurBucket(size_t next) {
+    std::vector<MsgQueueEntry>().swap(CurBucket());
+    cur_ = next;
+    cur_heapified_ = false;
+  }
 
   void AdvanceCursor() {
     if (ring_count_ == 0) {
@@ -104,16 +133,14 @@ class MsgCalendarQueue {
       if (!overflow_.empty()) {
         const size_t bucket = static_cast<size_t>(overflow_.top().at / kBucketWidth);
         if (bucket > cur_) {
-          cur_ = bucket;
-          cur_heapified_ = false;
+          LeaveCurBucket(bucket);
           DrainOverflowIntoRing();
         }
       }
       return;
     }
     while (CurBucket().empty()) {
-      ++cur_;
-      cur_heapified_ = false;
+      LeaveCurBucket(cur_ + 1);
     }
     if (!cur_heapified_) {
       std::vector<MsgQueueEntry>& v = CurBucket();
@@ -142,7 +169,7 @@ class MsgCalendarQueue {
   bool cur_heapified_ = false;
   size_t ring_count_ = 0;
   size_t count_ = 0;
-  std::priority_queue<MsgQueueEntry, std::vector<MsgQueueEntry>, Later> overflow_;
+  OverflowHeap overflow_;
 };
 
 }  // namespace clandag

@@ -5,10 +5,12 @@
 // the Figure-5a n = 50 scenario at one load point and asserts the steady-state
 // allocation rate stays in pooled-memory territory. Before the buffer pool,
 // single-serialize broadcast, and shared cert buffers, this scenario cost
-// ~10,700 allocs per committed vertex; with them it costs ~730. The bound
-// below is ~3x the pooled figure: loose enough for allocator noise and small
-// protocol changes, tight enough that losing any one of the pooling layers
-// (each worth thousands of allocs per commit) fails the test.
+// ~10,700 allocs per committed vertex; with them it cost ~1,100, and it costs
+// ~920 since vote trackers fold signatures into a running aggregate instead
+// of keeping them (the n = 150 case below: ~3,160 -> ~2,630). The bound is
+// loose enough for allocator noise and small protocol changes, tight enough
+// that losing any one of the pooling layers (each worth thousands of allocs
+// per commit) fails the test.
 
 #include <gtest/gtest.h>
 

@@ -2,7 +2,8 @@
 // First the RBC properties (validity, agreement, integrity, Byzantine
 // senders, lossy links) for both flavours over every clan topology shape,
 // then its own paths: echo gating, block verification, pulls, repair, and
-// rejection of protocol-violating messages.
+// rejection of protocol-violating messages, and last the VoteTracker that
+// counts its quorums.
 
 #include <gtest/gtest.h>
 
@@ -17,6 +18,7 @@
 #include <vector>
 
 #include "common/quorum.h"
+#include "common/rng.h"
 #include "common/work_pool.h"
 #include "consensus/dissemination.h"
 #include "sim/network.h"
@@ -748,6 +750,24 @@ TEST(Dissemination, PruneBelowDropsState) {
   EXPECT_FALSE(cluster.dissem(1).HasCompleted(0, 1));
 }
 
+// A READY for a pruned round is dropped like a late ECHO or certificate:
+// it must not resurrect the instance, and f+1 of them must not make the
+// node amplify with a READY of its own.
+TEST(Dissemination, ReadyBelowPruneFloorIsDropped) {
+  const uint32_t n = 4;
+  DissemCluster cluster(n, ClanTopology::Full(n), Variant::kBracha);
+  cluster.dissem(1).PruneBelow(10);
+  RbcVoteMsg ready;
+  ready.sender = 0;
+  ready.round = 1;
+  ready.digest = Digest::Of(ToBytes("pruned"));
+  cluster.runtime(2).Send(1, kConsReady, ready.Encode());
+  cluster.runtime(3).Send(1, kConsReady, ready.Encode());
+  cluster.Run(Seconds(1));
+  EXPECT_EQ(cluster.Sent(kConsReady), 2u) << "node 1 amplified a READY for a pruned round";
+  EXPECT_FALSE(cluster.dissem(1).HasCompleted(0, 1));
+}
+
 TEST(Dissemination, HasBlockAndGetBlock) {
   const uint32_t n = 4;
   DissemCluster cluster(n, ClanTopology::Full(n));
@@ -760,6 +780,97 @@ TEST(Dissemination, HasBlockAndGetBlock) {
   ASSERT_NE(stored, nullptr);
   EXPECT_EQ(stored->tx_count, 77u);
   EXPECT_FALSE(cluster.dissem(0).HasBlock(2, 4));
+}
+
+// ---------------------------------------------------------------------------
+// VoteTracker (rbc/quorum.h): the per-digest quorum bookkeeping under every
+// echo, READY and timeout quorum.
+
+Bytes CertBytes(const MultiSig& cert) {
+  Writer w;
+  cert.Serialize(w);
+  return w.Take();
+}
+
+// The running aggregate is order-independent: after 1, f+1, 2f+1 and all n
+// votes of a random arrival order, the tracker's certificate equals
+// MultiSig::Aggregate over the same votes in id order, byte for byte, and
+// verifies.
+TEST(VoteTracker, CertMatchesAggregateForAnyArrivalOrder) {
+  const uint32_t n = 100;
+  const Keychain keychain(5, n);
+  const Bytes message = ToBytes("echo for (0, 1)");
+  std::vector<Signature> sigs;
+  for (NodeId id = 0; id < n; ++id) {
+    sigs.push_back(keychain.Sign(id, message));
+  }
+  DetRng rng(77);
+  for (int trial = 0; trial < 20; ++trial) {
+    std::vector<NodeId> order(n);
+    for (NodeId id = 0; id < n; ++id) {
+      order[id] = id;
+    }
+    rng.Shuffle(order);
+    VoteTracker tracker(n);
+    SignerBitmap signers(n);
+    for (uint32_t i = 0; i < n; ++i) {
+      ASSERT_TRUE(tracker.Add(order[i], false, sigs[order[i]]));
+      signers.Set(order[i]);
+      if (i + 1 != 1 && i + 1 != 34 && i + 1 != 67 && i + 1 != n) {
+        continue;
+      }
+      std::vector<Signature> parts;
+      for (NodeId id : signers.Ids()) {
+        parts.push_back(sigs[id]);
+      }
+      const MultiSig cert = tracker.BuildCert();
+      EXPECT_EQ(CertBytes(cert), CertBytes(MultiSig::Aggregate(signers, parts)))
+          << "trial " << trial << ", " << i + 1 << " votes";
+      EXPECT_TRUE(cert.Verify(keychain, message)) << "trial " << trial << ", " << i + 1;
+      EXPECT_EQ(cert.Count(), i + 1);
+    }
+  }
+}
+
+TEST(VoteTracker, RepeatedVoterChangesNothing) {
+  const uint32_t n = 7;
+  const Keychain keychain(5, n);
+  const Bytes message = ToBytes("vote");
+  VoteTracker tracker(n);
+  ASSERT_TRUE(tracker.Add(2, true, keychain.Sign(2, message)));
+  ASSERT_TRUE(tracker.Add(4, false, keychain.Sign(4, message)));
+  const Bytes before = CertBytes(tracker.BuildCert());
+  EXPECT_FALSE(tracker.Add(2, true, keychain.Sign(2, message)));
+  EXPECT_FALSE(tracker.Add(4, true, keychain.Sign(4, ToBytes("other"))));
+  EXPECT_FALSE(tracker.Add(4, false, std::nullopt));
+  EXPECT_EQ(tracker.Count(), 2u);
+  EXPECT_EQ(tracker.ClanCount(), 1u);
+  EXPECT_EQ(CertBytes(tracker.BuildCert()), before);
+  EXPECT_TRUE(tracker.BuildCert().Verify(keychain, message));
+}
+
+TEST(VoteTracker, ClanCountCountsOnlyInClanVotes) {
+  const uint32_t n = 10;
+  const std::vector<NodeId> clan = {1, 3, 5, 7};
+  VoteTracker tracker(n);
+  for (NodeId id : {0u, 1u, 2u, 5u, 9u}) {
+    const bool in_clan = std::find(clan.begin(), clan.end(), id) != clan.end();
+    ASSERT_TRUE(tracker.Add(id, in_clan, std::nullopt));
+  }
+  EXPECT_EQ(tracker.Count(), 5u);
+  EXPECT_EQ(tracker.ClanCount(), 2u);
+  EXPECT_EQ(tracker.ClanVoters(clan), (std::vector<NodeId>{1, 5}));
+}
+
+// Certificates are built only from signed votes; a tracker holding an
+// unsigned vote has no certificate to give.
+TEST(VoteTracker, BuildCertRequiresEveryVoterSigned) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  const Keychain keychain(5, 4);
+  VoteTracker tracker(4);
+  ASSERT_TRUE(tracker.Add(0, false, keychain.Sign(0, ToBytes("vote"))));
+  ASSERT_TRUE(tracker.Add(1, false, std::nullopt));
+  EXPECT_DEATH(tracker.BuildCert(), "signed_count_");
 }
 
 }  // namespace

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "common/codec.h"
+#include "rbc/quorum.h"
 
 namespace clandag {
 namespace {
@@ -130,6 +131,21 @@ TEST(NodeArena, RecyclesSlots) { ExpectRecyclesSlots<NodeArena>(); }
 
 TEST(NodeArena, OversizedRequestsFallBackToHeap) {
   ExpectOversizedRequestsFallBackToHeap<NodeArena>();
+}
+
+// The node the arena's slot is sized for: a vote tracker keyed by digest. A
+// tracker that outgrew NodeArena::kSlotBytes would send every such node to
+// the heap without failing anything else.
+TEST(NodeArena, VoteTrackerNodesFitSlots) {
+  const size_t before = NodeArena::Global().heap_fallbacks();
+  {
+    ArenaMap<Digest, VoteTracker> trackers;
+    for (uint8_t i = 0; i < 16; ++i) {
+      trackers.try_emplace(Digest::Of(Bytes{i}), 150);
+    }
+    trackers.erase(trackers.begin(), trackers.end());
+  }
+  EXPECT_EQ(NodeArena::Global().heap_fallbacks(), before);
 }
 
 // Shared buffers released from many threads at once: exercises the

@@ -121,6 +121,27 @@ TEST(MsgCalendarQueue, MatchesReferenceUnderRandomWorkload) {
   EXPECT_TRUE(q.empty());
 }
 
+// Queue storage follows the live entries: a bucket the cursor has left
+// drained holds nothing, whether the cursor stepped off it or jumped over
+// the rest of the ring to the overflow's earliest entry.
+TEST(MsgCalendarQueue, DrainedBucketsReleaseStorage) {
+  constexpr uint64_t kEntries = 200'000;
+  constexpr TimeMicros kSpacing = 10;  // 2 s in all: ~102 entries per ~1 ms bucket.
+  MsgCalendarQueue q;
+  for (uint64_t i = 0; i < kEntries; ++i) {
+    q.Push(MsgQueueEntry{static_cast<TimeMicros>(i) * kSpacing, i, 0});
+  }
+  EXPECT_GE(q.StorageBytes(), kEntries * sizeof(MsgQueueEntry));
+  for (uint64_t i = 0; i < kEntries; ++i) {
+    ASSERT_EQ(q.Pop().seq, i);
+  }
+  // Only the cursor's own bucket keeps its vector (growth slack included).
+  EXPECT_LE(q.StorageBytes(), 2 * (1024 / kSpacing + 1) * sizeof(MsgQueueEntry));
+  q.Push(MsgQueueEntry{Seconds(60), kEntries, 0});  // Past the ring's horizon.
+  EXPECT_EQ(q.Pop().seq, kEntries);
+  EXPECT_LE(q.StorageBytes(), 2 * sizeof(MsgQueueEntry)) << "the jumped-from bucket kept storage";
+}
+
 TEST(LatencyMatrix, UniformModel) {
   LatencyMatrix m = LatencyMatrix::Uniform(5, Millis(25));
   EXPECT_EQ(m.OneWay(0, 1), Millis(25));
